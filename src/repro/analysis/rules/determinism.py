@@ -3,12 +3,12 @@ parity-critical output.
 
 The whole performance story of this repo is gated by *bit-identity*:
 ``jobs=N`` must equal ``jobs=1``, a warm session must equal a cold one,
-the compiled engines must equal legacy.  One ``for u in some_set:`` whose
-order leaks into a returned clique list, a merge concatenation, or a
-stats counter silently breaks that oracle — with string nodes, set
-iteration order depends on ``PYTHONHASHSEED``, so the "nondeterminism"
-only shows up across *processes*, exactly where the parity suites do not
-look.
+the compiled kernels must equal the reference.  One
+``for u in some_set:`` whose order leaks into a returned clique list, a
+merge concatenation, or a stats counter silently breaks that oracle —
+with string nodes, set iteration order depends on ``PYTHONHASHSEED``,
+so the "nondeterminism" only shows up across *processes*, exactly where
+the parity suites do not look.
 
 RPL009 flags unordered (set-typed) values reaching *ordered sinks*:
 ``list(...)`` / ``tuple(...)`` materialization, ``induced_subgraph``

@@ -1,7 +1,7 @@
-"""Engine benchmark harness (``repro-bench``).
+"""Benchmark harness (``repro-bench``).
 
-Measures the ``engine="bitset"`` compiled kernel against the
-``engine="legacy"`` dict-of-dicts search on the registry datasets and
+Measures the clique-search drivers across worker counts, repeated
+session queries and update streams on the registry datasets, and
 writes machine-readable ``BENCH_*.json`` reports.  The measurement
 protocol lives in :mod:`repro.bench.runner`; the checked-in reports under
 ``benchmarks/perf/`` are produced by the console script in
@@ -16,15 +16,15 @@ from repro.bench.queries import (
 from repro.bench.runner import (
     BenchReport,
     ConfigResult,
-    EngineRun,
+    ArmRun,
     run_enumeration_bench,
     run_maximum_bench,
 )
 
 __all__ = [
+    "ArmRun",
     "BenchReport",
     "ConfigResult",
-    "EngineRun",
     "QueriesReport",
     "QueryOpResult",
     "run_enumeration_bench",

@@ -1,4 +1,4 @@
-"""``repro-bench`` — engine benchmark runner.
+"""``repro-bench`` — benchmark runner.
 
 Full mode (the default) reproduces the checked-in reports under
 ``benchmarks/perf/``: the dblp_like registry graph at full scale,
@@ -7,26 +7,20 @@ median of 5 interleaved repetitions per config, for both the enumeration
 
 ``--quick`` shrinks the dataset and repetition count to a CI-smoke-sized
 run (~tens of seconds).  ``--check`` turns the run into a gate: exit
-status 1 when any config's outputs differ between arms — engines *or*
-worker counts — or when the bitset engine's median is slower than
-legacy's beyond ``--tolerance`` (a noise allowance — CI runners are
-shared machines).  The enumeration suite carries a ``pivot`` arm whose
-gate is clique-set identity plus a branch-count reduction of at least
-1x over bitset; the queries suite additionally asserts the compile
-accounting (a cold session records one nonzero compile lap, a warm
-session records exactly zero).
+status 1 when any config's outputs or counters differ between worker
+counts (``jobs=N`` must equal ``jobs=1``); the queries suite
+additionally asserts the compile accounting (a cold session records one
+nonzero compile lap, a warm session records exactly zero).
 
 ``--jobs`` is the scaling axis: a comma-separated list of worker counts
-(full runs default to ``1,2,4``) adds a ``bitset-jN`` arm per count > 1,
-and the per-config ``jobs_speedup`` scaling curve lands in the report.
+(full runs default to ``1,2,4``) runs one ``jN`` arm per count, and the
+per-config ``jobs_speedup`` scaling curve lands in the report.
 ``--verbose`` prints the per-phase wall-clock breakdown (prune / cut /
 compile / search) recorded by the stats timings.
 
 ``--suite`` selects which benchmarks run: ``engines`` (the default,
 above), ``queries`` (the repeated-query cold-vs-warm session suite of
 :mod:`repro.bench.queries`, written to ``BENCH_queries.json``),
-``prune`` (the prune-kernel arrays-vs-legacy peel suite of
-:mod:`repro.bench.prune`, written to ``BENCH_prune.json``),
 ``streaming`` (the edge-update maintain-vs-recompute suite of
 :mod:`repro.bench.streaming`, written to ``BENCH_streaming.json``), or
 ``all``.  The streaming gates: the maintained core must be
@@ -41,7 +35,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.bench.prune import PruneReport, run_prune_bench
 from repro.bench.queries import QueriesReport, run_queries_bench
 from repro.bench.runner import (
     BenchReport,
@@ -94,20 +87,20 @@ def _parse_jobs(spec: str) -> list[int]:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
-        description="Benchmark the bitset search engine against legacy.",
+        description="Benchmark the clique-search drivers.",
     )
     parser.add_argument(
         "--dataset", default="dblp_like", help="registry dataset name"
     )
     parser.add_argument(
         "--suite",
-        choices=("engines", "queries", "prune", "streaming", "all"),
+        choices=("engines", "queries", "streaming", "all"),
         default="engines",
         help=(
-            "which benchmarks to run: the engine comparisons (default), "
-            "the repeated-query cold-vs-warm session suite, the "
-            "prune-kernel arrays-vs-legacy suite, the edge-update "
-            "maintain-vs-recompute streaming suite, or all of them"
+            "which benchmarks to run: the search drivers across worker "
+            "counts (default), the repeated-query cold-vs-warm session "
+            "suite, the edge-update maintain-vs-recompute streaming "
+            "suite, or all of them"
         ),
     )
     parser.add_argument(
@@ -118,22 +111,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--check",
         action="store_true",
-        help=(
-            "exit 1 if engines disagree or bitset is slower than legacy "
-            "beyond --tolerance"
-        ),
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="noise allowance for --check (default 0.10 = 10%%)",
+        help="exit 1 if any suite's identity or accounting gate fails",
     )
     parser.add_argument(
         "--reps",
         type=int,
         default=0,
-        help="repetitions per engine per config (default: 5, quick: 3)",
+        help="repetitions per arm per config (default: 5, quick: 3)",
     )
     parser.add_argument(
         "--out",
@@ -146,8 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default="",
         help=(
             "comma-separated worker counts for the scaling axis "
-            "(default: 1,2,4 for full runs, 1 for --quick); counts > 1 "
-            "add bitset-jN arms via the process-parallel layer"
+            "(default: 1,2,4 for full runs, 1 for --quick); each count "
+            "runs a jN arm, counts > 1 via the process-parallel layer"
         ),
     )
     parser.add_argument(
@@ -166,52 +150,22 @@ def _print_report(report: BenchReport, verbose: bool) -> None:
         f"cpu_count={cpu_count})"
     )
     for config in report.configs:
-        legacy = config.engines["legacy"].median_s
-        bitset = config.engines["bitset"].median_s
         flag = "" if config.identical_output else "  OUTPUT MISMATCH"
         scaling = "".join(
-            f" {name.removeprefix('bitset-')}={config.engines[name].median_s:.3f}s"
-            f"({ratio:.2f}x)"
+            f" {name}={config.arms[name].median_s:.3f}s({ratio:.2f}x)"
             for name, ratio in sorted(config.jobs_speedup.items())
         )
-        pivot = ""
-        if "pivot" in config.engines:
-            pivot = (
-                f" pivot={config.engines['pivot'].median_s:.3f}s"
-                f"(branches /{config.pivot_branch_reduction:.1f})"
-            )
         print(
             f"  k={config.k} tau={config.tau}: "
-            f"legacy={legacy:.3f}s bitset={bitset:.3f}s "
-            f"speedup={config.speedup:.2f}x{pivot}{scaling}{flag}"
+            f"j1={config.arms['j1'].median_s:.3f}s{scaling}{flag}"
         )
         if verbose:
-            for name, run in config.engines.items():
+            for name, run in config.arms.items():
                 phases = " ".join(
                     f"{phase}={seconds:.3f}s"
                     for phase, seconds in sorted(run.phase_seconds.items())
                 )
                 print(f"    {name}: {phases or '(no phase timings)'}")
-
-
-def _print_prune_report(report: PruneReport) -> None:
-    cpu_count = report.provenance.get("cpu_count")
-    print(
-        f"[{report.benchmark}] peels on {report.dataset} "
-        f"(scale={report.scale}, median of {report.repetitions}, "
-        f"cpu_count={cpu_count}, "
-        f"compile={report.compile_median_s:.3f}s shared per version)"
-    )
-    for op in report.ops:
-        legacy = op.engines["legacy"].median_s
-        arrays = op.engines["arrays"].median_s
-        flag = "" if op.identical_output else "  OUTPUT MISMATCH"
-        print(
-            f"  {op.op} k={op.k} tau={op.tau}: legacy={legacy:.3f}s "
-            f"arrays={arrays:.3f}s speedup={op.speedup:.2f}x "
-            f"({op.survivors} survivors){flag}"
-        )
-    print(f"  min headline speedup: {report.min_headline_speedup():.2f}x")
 
 
 def _print_queries_report(report: QueriesReport) -> None:
@@ -287,37 +241,9 @@ def main(argv: list[str] | None = None) -> int:
             path = report.write(args.out)
             print(f"  wrote {path}")
             if not report.all_identical():
-                failures.append(f"{report.benchmark}: engine outputs differ")
-            worst = report.worst_ratio()
-            if worst > 1.0 + args.tolerance:
                 failures.append(
-                    f"{report.benchmark}: bitset {worst:.2f}x the legacy "
-                    f"median somewhere (tolerance {1.0 + args.tolerance:.2f}x)"
+                    f"{report.benchmark}: jobs=N output differs from jobs=1"
                 )
-            for config in report.configs:
-                # The pivot tree must never branch more than the bitset
-                # tree it replaced (0.0 means the config never searched).
-                reduction = config.pivot_branch_reduction
-                if "pivot" in config.engines and 0.0 < reduction < 1.0:
-                    failures.append(
-                        f"{report.benchmark}: pivot branched more than "
-                        f"bitset at k={config.k} tau={config.tau} "
-                        f"(reduction {reduction:.2f}x)"
-                    )
-
-    if args.suite in ("prune", "all"):
-        prune_report = run_prune_bench(args.dataset, reps, scale)
-        _print_prune_report(prune_report)
-        path = prune_report.write(args.out)
-        print(f"  wrote {path}")
-        if not prune_report.all_identical():
-            failures.append("prune: arrays survivors differ from legacy")
-        worst = prune_report.worst_ratio()
-        if worst > 1.0 + args.tolerance:
-            failures.append(
-                f"prune: arrays {worst:.2f}x the legacy median somewhere "
-                f"(tolerance {1.0 + args.tolerance:.2f}x)"
-            )
 
     if args.suite in ("queries", "all"):
         queries_report = run_queries_bench(args.dataset, reps, scale)

@@ -1,6 +1,6 @@
 """Repeated-query benchmark: cold one-shot sessions vs a warm session.
 
-The engine benchmarks (:mod:`repro.bench.runner`) measure single cold
+The ``engines`` suite (:mod:`repro.bench.runner`) measures single cold
 searches.  This suite measures what the session layer was built for:
 **repeated queries against one graph**.  Two arms run the same mixed
 workload (maximum search, full enumeration, anchored containment

@@ -1,4 +1,5 @@
-"""Measurement core for the engine benchmarks.
+"""Measurement core for the ``engines`` suite: the production search
+across worker counts.
 
 Protocol
 --------
@@ -6,29 +7,24 @@ Wall-clock comparisons between in-process arms on a noisy machine need
 two defenses, both applied here:
 
 * **Interleaving** — each repetition runs *every* arm back to back
-  (legacy, bitset, pivot, then each ``bitset-jN`` parallel arm) before
-  the next repetition starts, so slow drift in machine load lands on all
-  sides rather than biasing whichever arm happened to run last.
+  (``j1``, then each ``jN`` parallel arm) before the next repetition
+  starts, so slow drift in machine load lands on all sides rather than
+  biasing whichever arm happened to run last.
 * **Median of N** — the reported time per arm is the median over the
   repetitions, which throws away one-off spikes that a mean would absorb.
 
-Every run also re-verifies the arms' contract: identical results (for
-enumeration, the same cliques in the same yield order) and identical
-statistics counters — across engines *and* across worker counts.  A
-benchmark whose arms disagree is reported with ``identical_output:
-false`` and fails the ``--check`` gate — a speedup over wrong answers is
-not a speedup.  The pivot arm's contract is *set* identity (pivoting
-reorders emission but must yield exactly the same cliques, each once);
-its per-config ``pivot_branch_reduction`` records the bitset engine's
-``search_calls`` over the pivot engine's — the branch-tree shrink the
-absorbing Tomita pivot buys.
+Every run also re-verifies the arms' contract: ``jobs=N`` returns
+exactly the ``jobs=1`` result (for enumeration, the same cliques in the
+same yield order) with identical statistics counters.  A benchmark whose
+arms disagree is reported with ``identical_output: false`` and fails the
+``--check`` gate — a speedup over wrong answers is not a speedup.
 
 Scaling axis
 ------------
-``jobs=(1, 2, 4)`` adds ``bitset-j2`` / ``bitset-j4`` arms running the
+``jobs=(1, 2, 4)`` runs arms ``j1`` / ``j2`` / ``j4`` through the
 process-parallel layer (:mod:`repro.core.parallel`); per-config
-``jobs_speedup`` records the sequential-bitset median over each parallel
-median, which is the scaling curve the checked-in reports carry.  The
+``jobs_speedup`` records the ``j1`` median over each parallel median,
+which is the scaling curve the checked-in reports carry.  The
 ``REPRO_JOBS`` environment variable is cleared around every measurement
 (and restored after) so each arm runs exactly the worker count it
 claims.
@@ -53,14 +49,15 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Any, Callable
 
-from repro.core.enumeration import Engine, EnumerationStats, muce_plus_plus
+from repro.core.enumeration import EnumerationStats, muce_plus_plus
 from repro.core.maximum import MaximumSearchStats, max_uc_plus
 from repro.datasets.registry import load_dataset
 from repro.uncertain.graph import Node, UncertainGraph
 
 __all__ = [
-    "EngineRun",
+    "ArmRun",
     "ConfigResult",
     "BenchReport",
     "collect_provenance",
@@ -68,15 +65,10 @@ __all__ = [
     "run_maximum_bench",
 ]
 
-ENGINES: tuple[Engine, ...] = ("legacy", "bitset", "pivot")
-
-#: Arm descriptor: display name, underlying engine, worker count.
-Arm = tuple[str, Engine, int]
-
 
 @dataclass
-class EngineRun:
-    """Timings and counters for one arm at one (k, tau) config."""
+class ArmRun:
+    """Timings and counters for one worker-count arm at one config."""
 
     times_s: list[float] = field(default_factory=list)
     median_s: float = 0.0
@@ -90,13 +82,9 @@ class ConfigResult:
 
     k: int
     tau: float
-    engines: dict[str, EngineRun]
-    speedup: float
+    arms: dict[str, ArmRun]
     jobs_speedup: dict[str, float]
     identical_output: bool
-    #: bitset search_calls / pivot search_calls (enumeration only; 0.0
-    #: when the config has no pivot arm or no recursion ran).
-    pivot_branch_reduction: float = 0.0
 
 
 def collect_provenance() -> dict[str, object]:
@@ -155,17 +143,6 @@ class BenchReport:
         path.write_text(self.to_json())
         return path
 
-    def worst_ratio(self) -> float:
-        """Max over configs of bitset median / legacy median (lower is
-        better; > 1 means the bitset engine lost somewhere)."""
-        worst = 0.0
-        for config in self.configs:
-            legacy = config.engines["legacy"].median_s
-            bitset = config.engines["bitset"].median_s
-            if legacy > 0.0:
-                worst = max(worst, bitset / legacy)
-        return worst
-
     def all_identical(self) -> bool:
         return all(config.identical_output for config in self.configs)
 
@@ -174,47 +151,102 @@ def _median(values: list[float]) -> float:
     return float(statistics.median(values))
 
 
-def _arms(jobs: list[int], pivot: bool = False) -> list[Arm]:
-    arms: list[Arm] = [("legacy", "legacy", 1), ("bitset", "bitset", 1)]
-    if pivot:
-        arms.append(("pivot", "pivot", 1))
-    for j in jobs:
-        if j > 1:
-            arms.append((f"bitset-j{j}", "bitset", j))
-    return arms
+def _arms(jobs: list[int]) -> list[int]:
+    """Worker counts to run, ``1`` (the baseline arm) first."""
+    return [1] + sorted({j for j in jobs if j > 1})
 
 
-def _jobs_speedup(runs: dict[str, EngineRun]) -> dict[str, float]:
-    """Sequential-bitset median over each parallel arm's median — the
-    per-config scaling curve (> 1 means the parallel arm was faster)."""
-    base = runs["bitset"].median_s
+def _jobs_speedup(runs: dict[str, ArmRun]) -> dict[str, float]:
+    """The ``j1`` median over each parallel arm's median — the per-config
+    scaling curve (> 1 means the parallel arm was faster)."""
+    base = runs["j1"].median_s
     return {
         name: (base / run.median_s if run.median_s > 0.0 else 0.0)
         for name, run in runs.items()
-        if name.startswith("bitset-j")
+        if name != "j1"
     }
 
 
 def _enum_once(
-    graph: UncertainGraph, k: int, tau: float, engine: Engine, jobs: int
+    graph: UncertainGraph, k: int, tau: float, jobs: int
 ) -> tuple[float, list[frozenset[Node]], dict[str, int], dict[str, float]]:
     stats = EnumerationStats()
     start = time.perf_counter()
-    cliques = list(
-        muce_plus_plus(graph, k, tau, stats=stats, engine=engine, jobs=jobs)
-    )
+    cliques = list(muce_plus_plus(graph, k, tau, stats=stats, jobs=jobs))
     elapsed = time.perf_counter() - start
     return elapsed, cliques, dict(asdict(stats)), dict(stats.timings.laps)
 
 
 def _max_once(
-    graph: UncertainGraph, k: int, tau: float, engine: Engine, jobs: int
+    graph: UncertainGraph, k: int, tau: float, jobs: int
 ) -> tuple[float, frozenset[Node] | None, dict[str, int], dict[str, float]]:
     stats = MaximumSearchStats()
     start = time.perf_counter()
-    best = max_uc_plus(graph, k, tau, stats=stats, engine=engine, jobs=jobs)
+    best = max_uc_plus(graph, k, tau, stats=stats, jobs=jobs)
     elapsed = time.perf_counter() - start
     return elapsed, best, dict(asdict(stats)), dict(stats.timings.laps)
+
+
+def _run_bench(
+    benchmark: str,
+    algorithm: str,
+    once: Callable[
+        [UncertainGraph, int, float, int],
+        tuple[float, Any, dict[str, int], dict[str, float]],
+    ],
+    dataset: str,
+    configs: list[tuple[int, float]],
+    repetitions: int,
+    scale: float,
+    jobs: list[int] | None,
+) -> BenchReport:
+    """Run ``once`` on every arm of every config, interleaved."""
+    jobs = jobs if jobs is not None else [1]
+    arms = _arms(jobs)
+    graph = load_dataset(dataset, scale=scale)
+    results: list[ConfigResult] = []
+    env_jobs = os.environ.pop("REPRO_JOBS", None)
+    try:
+        for k, tau in configs:
+            runs = {f"j{n}": ArmRun() for n in arms}
+            outputs: dict[str, Any] = {}
+            for _ in range(repetitions):
+                for n in arms:
+                    name = f"j{n}"
+                    elapsed, output, stats, phases = once(graph, k, tau, n)
+                    runs[name].times_s.append(elapsed)
+                    runs[name].stats = stats
+                    runs[name].phase_seconds = phases
+                    outputs[name] = output
+            for run in runs.values():
+                run.median_s = _median(run.times_s)
+            results.append(
+                ConfigResult(
+                    k=k,
+                    tau=tau,
+                    arms=runs,
+                    jobs_speedup=_jobs_speedup(runs),
+                    identical_output=all(
+                        outputs[name] == outputs["j1"]
+                        and run.stats == runs["j1"].stats
+                        for name, run in runs.items()
+                    ),
+                )
+            )
+    finally:
+        if env_jobs is not None:
+            os.environ["REPRO_JOBS"] = env_jobs
+    return BenchReport(
+        benchmark=benchmark,
+        algorithm=algorithm,
+        dataset=dataset,
+        scale=scale,
+        repetitions=repetitions,
+        interleaved=True,
+        jobs=arms,
+        provenance=collect_provenance(),
+        configs=results,
+    )
 
 
 def run_enumeration_bench(
@@ -224,75 +256,10 @@ def run_enumeration_bench(
     scale: float = 1.0,
     jobs: list[int] | None = None,
 ) -> BenchReport:
-    """Benchmark ``muce_plus_plus`` across engines and worker counts."""
-    jobs = jobs if jobs is not None else [1]
-    arms = _arms(jobs, pivot=True)
-    graph = load_dataset(dataset, scale=scale)
-    results: list[ConfigResult] = []
-    env_jobs = os.environ.pop("REPRO_JOBS", None)
-    try:
-        for k, tau in configs:
-            runs: dict[str, EngineRun] = {name: EngineRun() for name, _, _ in arms}
-            outputs: dict[str, list[frozenset[Node]]] = {}
-            for _ in range(repetitions):
-                for name, engine, n_jobs in arms:
-                    elapsed, cliques, stats, phases = _enum_once(
-                        graph, k, tau, engine, n_jobs
-                    )
-                    runs[name].times_s.append(elapsed)
-                    runs[name].stats = stats
-                    runs[name].phase_seconds = phases
-                    outputs[name] = cliques
-            for run in runs.values():
-                run.median_s = _median(run.times_s)
-            legacy, bitset = runs["legacy"], runs["bitset"]
-            pivot = runs["pivot"]
-            # Order-identical arms match legacy bit for bit; the pivot
-            # arm reorders emission, so its gate is set identity with no
-            # duplicates and the same clique count.
-            identical = all(
-                outputs[name] == outputs["legacy"]
-                and runs[name].stats == legacy.stats
-                for name, _, _ in arms
-                if name != "pivot"
-            ) and (
-                len(outputs["pivot"]) == len(set(outputs["pivot"]))
-                and set(outputs["pivot"]) == set(outputs["legacy"])
-                and pivot.stats["cliques"] == legacy.stats["cliques"]
-            )
-            results.append(
-                ConfigResult(
-                    k=k,
-                    tau=tau,
-                    engines=runs,
-                    speedup=(
-                        legacy.median_s / bitset.median_s
-                        if bitset.median_s > 0.0
-                        else 0.0
-                    ),
-                    jobs_speedup=_jobs_speedup(runs),
-                    identical_output=identical,
-                    pivot_branch_reduction=(
-                        bitset.stats["search_calls"]
-                        / pivot.stats["search_calls"]
-                        if pivot.stats.get("search_calls", 0) > 0
-                        else 0.0
-                    ),
-                )
-            )
-    finally:
-        if env_jobs is not None:
-            os.environ["REPRO_JOBS"] = env_jobs
-    return BenchReport(
-        benchmark="enumeration",
-        algorithm="muce_plus_plus",
-        dataset=dataset,
-        scale=scale,
-        repetitions=repetitions,
-        interleaved=True,
-        jobs=jobs,
-        provenance=collect_provenance(),
-        configs=results,
+    """Benchmark ``muce_plus_plus`` across worker counts."""
+    return _run_bench(
+        "enumeration", "muce_plus_plus", _enum_once, dataset, configs,
+        repetitions, scale, jobs,
     )
 
 
@@ -303,57 +270,8 @@ def run_maximum_bench(
     scale: float = 1.0,
     jobs: list[int] | None = None,
 ) -> BenchReport:
-    """Benchmark ``max_uc_plus`` across engines and worker counts."""
-    jobs = jobs if jobs is not None else [1]
-    arms = _arms(jobs)
-    graph = load_dataset(dataset, scale=scale)
-    results: list[ConfigResult] = []
-    env_jobs = os.environ.pop("REPRO_JOBS", None)
-    try:
-        for k, tau in configs:
-            runs = {name: EngineRun() for name, _, _ in arms}
-            outputs: dict[str, frozenset[Node] | None] = {}
-            for _ in range(repetitions):
-                for name, engine, n_jobs in arms:
-                    elapsed, best, stats, phases = _max_once(
-                        graph, k, tau, engine, n_jobs
-                    )
-                    runs[name].times_s.append(elapsed)
-                    runs[name].stats = stats
-                    runs[name].phase_seconds = phases
-                    outputs[name] = best
-            for run in runs.values():
-                run.median_s = _median(run.times_s)
-            legacy, bitset = runs["legacy"], runs["bitset"]
-            results.append(
-                ConfigResult(
-                    k=k,
-                    tau=tau,
-                    engines=runs,
-                    speedup=(
-                        legacy.median_s / bitset.median_s
-                        if bitset.median_s > 0.0
-                        else 0.0
-                    ),
-                    jobs_speedup=_jobs_speedup(runs),
-                    identical_output=all(
-                        outputs[name] == outputs["legacy"]
-                        and runs[name].stats == legacy.stats
-                        for name, _, _ in arms
-                    ),
-                )
-            )
-    finally:
-        if env_jobs is not None:
-            os.environ["REPRO_JOBS"] = env_jobs
-    return BenchReport(
-        benchmark="maximum",
-        algorithm="max_uc_plus",
-        dataset=dataset,
-        scale=scale,
-        repetitions=repetitions,
-        interleaved=True,
-        jobs=jobs,
-        provenance=collect_provenance(),
-        configs=results,
+    """Benchmark ``max_uc_plus`` across worker counts."""
+    return _run_bench(
+        "maximum", "max_uc_plus", _max_once, dataset, configs,
+        repetitions, scale, jobs,
     )

@@ -45,15 +45,11 @@ def _runners() -> dict[str, Runner]:
     """Experiment name -> runner accepting the parsed CLI options."""
     return {
         "table1": lambda opts: run_table1(scale=opts.scale),
-        "fig2": lambda opts: run_fig2(
-            scale=opts.scale, engine=opts.prune_engine
-        ),
+        "fig2": lambda opts: run_fig2(scale=opts.scale),
         "fig3": lambda opts: run_fig3(
             scale=opts.scale, include_baseline=not opts.no_baselines
         ),
-        "fig4": lambda opts: run_fig4(
-            scale=opts.scale, engine=opts.prune_engine
-        ),
+        "fig4": lambda opts: run_fig4(scale=opts.scale),
         "fig5": lambda opts: run_fig5(
             scale=opts.scale, include_baselines=not opts.no_baselines
         ),
@@ -130,7 +126,7 @@ def _run_query(opts: argparse.Namespace) -> int:
     print(
         f"loaded {graph.num_nodes} nodes / {graph.num_edges} edges; "
         f"k={opts.k}, tau={opts.tau}, query={opts.query}, "
-        f"engine={opts.engine}, jobs={opts.jobs or 1}"
+        f"jobs={opts.jobs or 1}"
     )
     if opts.query == "containing":
         if not opts.node:
@@ -139,8 +135,7 @@ def _run_query(opts: argparse.Namespace) -> int:
         anchor = _parse_node(opts.node)
         count = 0
         for clique in cliques_containing(
-            graph, anchor, opts.k, opts.tau,
-            engine=opts.engine, jobs=jobs,
+            graph, anchor, opts.k, opts.tau, jobs=jobs
         ):
             count += 1
             prob = clique_probability(graph, clique)
@@ -157,14 +152,11 @@ def _run_query(opts: argparse.Namespace) -> int:
     # list itself, so `--node 1` matches the node the loader created.
     members = [_parse_node(part) for part in opts.nodes.split(",") if part]
     if opts.query == "extendable":
-        answer = is_extendable(
-            graph, members, opts.tau, engine=opts.engine, jobs=jobs
-        )
+        answer = is_extendable(graph, members, opts.tau, jobs=jobs)
         print(f"extendable: {answer}")
     else:
         answer = containing_clique_exists(
-            graph, members, opts.k, opts.tau,
-            engine=opts.engine, jobs=jobs,
+            graph, members, opts.k, opts.tau, jobs=jobs
         )
         print(f"containing clique exists: {answer}")
     return 0
@@ -255,28 +247,7 @@ def _build_parser(runners: dict[str, Runner]) -> argparse.ArgumentParser:
     parser.add_argument(
         "--top", type=int, default=5, help="r for --mode top"
     )
-    # query options (--engine also applies to 'mine')
-    parser.add_argument(
-        "--engine",
-        choices=("pivot", "bitset", "legacy"),
-        default="pivot",
-        help=(
-            "search engine for the query command (default pivot: the "
-            "compiled kernel with absorbing Tomita pivoting; pivot and "
-            "bitset also route pruning through the compiled arrays "
-            "kernel)"
-        ),
-    )
-    parser.add_argument(
-        "--prune-engine",
-        choices=("arrays", "legacy"),
-        default="arrays",
-        help=(
-            "prune-peel engine for the dpcore/pruning experiments "
-            "(default arrays: the compiled flat-CSR kernel, one "
-            "lowering shared per dataset)"
-        ),
-    )
+    # query options
     parser.add_argument(
         "--query",
         choices=("containing", "extendable", "exists"),

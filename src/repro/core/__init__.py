@@ -33,17 +33,11 @@ from repro.core.enumeration import (
 )
 from repro.core.kernel import (
     CompiledComponent,
-    compile_component,
     derive_component_view,
 )
 from repro.core.prune_kernel import (
     CompiledGraph,
     compile_graph,
-)
-from repro.core.bruteforce import (
-    brute_force_maximal_cliques,
-    brute_force_maximum_clique,
-    brute_force_tau_degree,
 )
 from repro.core.bounds import (
     basic_color_bound,
@@ -65,7 +59,6 @@ from repro.core.pipeline import (
     cut_stage,
     compile_enumeration_stage,
     compile_maximum_stage,
-    color_stage,
     enumeration_search_stage,
     maximum_search_stage,
 )
@@ -111,12 +104,8 @@ __all__ = [
     "EnumerationStats",
     "CompiledComponent",
     "CompiledGraph",
-    "compile_component",
     "compile_graph",
     "derive_component_view",
-    "brute_force_maximal_cliques",
-    "brute_force_maximum_clique",
-    "brute_force_tau_degree",
     "basic_color_bound",
     "advanced_color_bound_one",
     "advanced_color_bound_two",
@@ -132,7 +121,6 @@ __all__ = [
     "cut_stage",
     "compile_enumeration_stage",
     "compile_maximum_stage",
-    "color_stage",
     "enumeration_search_stage",
     "maximum_search_stage",
     "PreparedGraph",

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.prune_kernel import PruneEngine
 from repro.core.topk_core import topk_core
 from repro.deterministic.components import connected_components
 from repro.uncertain.graph import Node, UncertainGraph
@@ -75,8 +74,7 @@ class CutOptimizeResult:
 
 
 def cut_optimize(
-    graph: UncertainGraph, k: int, tau: float,
-    engine: PruneEngine = "arrays",
+    graph: UncertainGraph, k: int, tau: float
 ) -> CutOptimizeResult:
     """Remove low-probability cut sets and return the resulting components.
 
@@ -90,9 +88,7 @@ def cut_optimize(
     *fringe-peeled* with the TopKCore rule (near-linear) before the
     maximum-adjacency sweep hunts for genuine multi-node cuts; without
     this, a hub-heavy graph makes the sweep strip one thin fringe per
-    O(m log m) pass.  ``engine`` selects the peel implementation for that
-    stage (the compiled arrays kernel by default); the sweep itself is
-    engine-independent, and both engines find the identical cut set.
+    O(m log m) pass.
     """
     validate_k(k)
     tau = validate_tau(tau)
@@ -111,7 +107,7 @@ def cut_optimize(
 
         # Stage 1: single-node cuts (TopKCore rule) — cheap fixpoint.
         sub = work.induced_subgraph(component)
-        core = set(topk_core(sub, k, tau, engine=engine).nodes)
+        core = set(topk_core(sub, k, tau).nodes)
         dropped = component - core
         if dropped:
             fringe_peeled += len(dropped)

@@ -37,24 +37,15 @@ import bisect
 from dataclasses import dataclass, fields
 from typing import Iterator, Literal
 
-# KERNEL_COMPONENT_LIMIT, enumerate_component and the core peels are
-# re-exported module attributes by contract: the session/pipeline layer
-# reads them from *this* module at call time, and regression tests
-# monkeypatch them (the kernel size limit, the compiled entry point, the
-# pre-search peels for the laziness tripwire).
-from repro.core.kernel import (
-    KERNEL_COMPONENT_LIMIT,
-    enumerate_component,
-    node_sort_key,
-)
-from repro.core.ktau_core import dp_core_plus
-from repro.core.topk_core import topk_core, topk_core_arrays
+# KERNEL_COMPONENT_LIMIT is a re-exported module attribute by contract:
+# the session layer reads it from *this* module at call time, so tests
+# can force the size-selected fallback by lowering it here.
+from repro.core.kernel import KERNEL_COMPONENT_LIMIT, node_sort_key
 from repro.uncertain.graph import Node, UncertainGraph
 from repro.utils.timing import Stopwatch
 
 __all__ = [
     "EnumerationStats",
-    "Engine",
     "maximal_cliques",
     "muce",
     "muce_plus",
@@ -62,15 +53,6 @@ __all__ = [
 ]
 
 PruningRule = Literal["topk", "ktau", "none"]
-
-#: Search-core selector: ``"pivot"`` runs the compiled kernel of
-#: :mod:`repro.core.kernel` with absorbing Tomita pivoting (smallest
-#: recursion tree); ``"bitset"`` the same kernel without pivoting — the
-#: yield-order oracle, bit-identical to ``"legacy"``, the original
-#: dict-of-dicts recursion.  ``"pivot"`` emits the identical *set* of
-#: cliques with bit-identical per-clique probabilities but in pivot
-#: branch order (see ``tests/core/test_kernel_parity``).
-Engine = Literal["pivot", "bitset", "legacy"]
 
 
 @dataclass
@@ -83,6 +65,10 @@ class EnumerationStats:
     deliberate: wall clocks are nondeterministic, and both the parity
     suite and the bench ``identical_output`` check compare stats via
     ``==`` / ``asdict``, which must see the deterministic counters only.
+
+    ``fallback_components`` counts the components above
+    ``KERNEL_COMPONENT_LIMIT`` that the search stage ran through the
+    dict recursion :func:`_muc` instead of the compiled pivot kernel.
     """
 
     nodes_after_pruning: int = 0
@@ -95,6 +81,7 @@ class EnumerationStats:
     pivot_branches: int = 0
     pivot_skipped: int = 0
     cliques: int = 0
+    fallback_components: int = 0
 
     def __post_init__(self) -> None:
         self.timings: Stopwatch = Stopwatch()
@@ -114,19 +101,14 @@ class EnumerationStats:
             self.timings.add(name, seconds)
 
 
-#: Single source of the node order lives in the kernel's compile step;
-#: these aliases keep the historical names importable.
-_node_sort_key = node_sort_key
-
-
 def _ordered(nodes: Iterator[Node] | list[Node]) -> list[Node]:
     """Nodes in the library's lexicographic order (Algorithm 4, line 16).
 
-    Only the legacy engine pays this per-component sort at search time;
-    the bitset engine's compile step establishes the same order once and
-    reuses it for ids, candidate iteration, and decompilation.
+    Only the :func:`_muc` fallback pays this per-component sort at search
+    time; the compiled views establish the same order once and reuse it
+    for ids, candidate iteration, and decompilation.
     """
-    return sorted(nodes, key=_node_sort_key)
+    return sorted(nodes, key=node_sort_key)
 
 
 def maximal_cliques(
@@ -137,7 +119,6 @@ def maximal_cliques(
     cut: bool = True,
     insearch: bool = True,
     stats: EnumerationStats | None = None,
-    engine: Engine = "pivot",
     jobs: int | None = 1,
 ) -> Iterator[frozenset[Node]]:
     """Enumerate all maximal (k, tau)-cliques of ``graph``.
@@ -154,25 +135,19 @@ def maximal_cliques(
         12-15).
     stats:
         optional mutable counter object filled in while enumerating.
-    engine:
-        ``"pivot"`` (default) compiles each component to dense ids and
-        bitmask adjacency and searches with absorbing Tomita pivoting —
-        the same *set* of cliques with bit-identical per-clique
-        probabilities, in pivot branch order; ``"bitset"`` is the same
-        kernel without pivoting and ``"legacy"`` the original
-        dict-of-dicts recursion — those two yield identical cliques in
-        identical order with identical stats, and are the yield-order
-        oracles for the pivot engine.
     jobs:
         worker processes for the search phase.  ``1`` (default) searches
         in-process; ``None`` uses ``os.cpu_count()``; the ``REPRO_JOBS``
         environment variable overrides the default (see
         :func:`repro.core.parallel.resolve_jobs`).  Results are merged
         deterministically, so any ``jobs`` value yields bit-identical
-        cliques, order, and stats counters.  Only the compiled engines
-        parallelize; ``engine="legacy"`` ignores ``jobs`` and stays
-        sequential (the legacy recursion is interleaved with consumers
-        and cannot be shipped to workers).
+        cliques, order, and stats counters.
+
+    Each component is searched by the compiled pivot kernel of
+    :mod:`repro.core.kernel` (absorbing Tomita pivoting); a component
+    above ``KERNEL_COMPONENT_LIMIT`` runs the dict recursion
+    :func:`_muc` instead, in the driver process, and is counted in
+    ``stats.fallback_components``.  Both emit the same cliques.
 
     Yields each maximal clique exactly once as a frozenset of nodes.
 
@@ -188,13 +163,13 @@ def maximal_cliques(
     are bit-identical either way).
     """
     # Imported lazily: the session layer imports this module for the
-    # stats types and the legacy recursion, so a top-level import would
+    # stats types and the fallback recursion, so a top-level import would
     # be a cycle.
     from repro.core.session import PreparedGraph
 
     return PreparedGraph(graph).maximal_cliques(
         k, tau, pruning=pruning, cut=cut, insearch=insearch, stats=stats,
-        engine=engine, jobs=jobs,
+        jobs=jobs,
     )
 
 
@@ -219,6 +194,11 @@ def _muc(
     stats: EnumerationStats,
 ) -> Iterator[frozenset[Node]]:
     """The recursive ``MUC`` procedure (Algorithm 4, lines 7-22).
+
+    The dict-of-dicts form of the search: the size-selected fallback for
+    components above ``KERNEL_COMPONENT_LIMIT`` (where bitmask ops cost
+    more than they save), and the recursion the reference oracle runs on
+    every component.
 
     ``candidates`` and ``excluded`` hold ``(node, pi_node)`` pairs where
     ``pi_node`` is the product of probabilities from the node to every
@@ -293,6 +273,24 @@ def _muc(
             # so u is dropped entirely (no X update needed).
             stats.branch_size_prunes += 1
             clique.pop()
+
+
+def _muc_component(
+    component: UncertainGraph,
+    k: int,
+    tau_floor: float,
+    min_size: int,
+    insearch: bool,
+    stats: EnumerationStats,
+) -> Iterator[frozenset[Node]]:
+    """:func:`_muc` over one whole component, counted in
+    ``stats.fallback_components`` (components searched by ``_muc``)."""
+    stats.fallback_components += 1
+    candidates = [(v, 1.0) for v in _ordered(component.nodes())]
+    return _muc(
+        component, [], 1.0, candidates, [], k, tau_floor, min_size,
+        insearch, stats,
+    )
 
 
 def _insearch_topk_prune(
@@ -372,14 +370,13 @@ def muce(
     k: int,
     tau: float,
     stats: EnumerationStats | None = None,
-    engine: Engine = "pivot",
     jobs: int | None = 1,
 ) -> Iterator[frozenset[Node]]:
     """The Mukherjee et al. [18], [19] baseline: set-enumeration search with
     monotonicity and branch-size pruning but no core-based pruning."""
     return maximal_cliques(
         graph, k, tau, pruning="none", cut=False, insearch=False,
-        stats=stats, engine=engine, jobs=jobs,
+        stats=stats, jobs=jobs,
     )
 
 
@@ -388,13 +385,12 @@ def muce_plus(
     k: int,
     tau: float,
     stats: EnumerationStats | None = None,
-    engine: Engine = "pivot",
     jobs: int | None = 1,
 ) -> Iterator[frozenset[Node]]:
     """Algorithm 4 with the (k, tau)-core pruning rule (``MUCE+``)."""
     return maximal_cliques(
         graph, k, tau, pruning="ktau", cut=True, insearch=True, stats=stats,
-        engine=engine, jobs=jobs,
+        jobs=jobs,
     )
 
 
@@ -403,11 +399,10 @@ def muce_plus_plus(
     k: int,
     tau: float,
     stats: EnumerationStats | None = None,
-    engine: Engine = "pivot",
     jobs: int | None = 1,
 ) -> Iterator[frozenset[Node]]:
     """Algorithm 4 with the (Top_k, tau)-core pruning rule (``MUCE++``)."""
     return maximal_cliques(
         graph, k, tau, pruning="topk", cut=True, insearch=True, stats=stats,
-        engine=engine, jobs=jobs,
+        jobs=jobs,
     )

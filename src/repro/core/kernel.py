@@ -1,17 +1,17 @@
 """Compiled search kernel for the MUCE/MaxUC+ hot paths.
 
-The backtracking searches in :mod:`repro.core.enumeration` and
-:mod:`repro.core.maximum` are written over :class:`UncertainGraph`'s
-dict-of-dicts adjacency: every candidate filter is a per-edge hash lookup
-on arbitrary node objects, every branch rebuilds ``(node, pi)`` tuple
-lists for both the candidate set *and* the excluded set, and the
-in-search (Top_k, tau)-core peel rebuilds sorted probability lists from
-scratch at every recursion level.  This module removes that overhead with
-a per-component *compilation step*:
+The reference searches (:func:`repro.core.enumeration._muc` and the
+dict MaxUC+ of :mod:`repro.reference`) are written over
+:class:`UncertainGraph`'s dict-of-dicts adjacency: every candidate
+filter is a per-edge hash lookup on arbitrary node objects, every branch
+rebuilds ``(node, pi)`` tuple lists for both the candidate set *and* the
+excluded set, and the in-search (Top_k, tau)-core peel rebuilds sorted
+probability lists from scratch at every recursion level.  This module
+removes that overhead with a per-component *compiled view*:
 
 1. nodes are mapped to dense ints ``0 .. n-1`` in the library's
    deterministic order, so the compiled id order doubles as the search
-   order — computed exactly once per component;
+   order;
 2. adjacency is materialised several ways: CSR-style flat neighbor and
    probability arrays in per-row descending-probability order (the form
    the in-search core peel consumes without any re-sorting), Python-int
@@ -21,52 +21,44 @@ a per-component *compilation step*:
    components, and int-keyed probability dicts as the large-component
    fallback.
 
-The enumeration core keeps the candidate set ``C`` as a list of
-``(id, pi)`` pairs exactly shaped like the legacy loop (measured faster
-than bit-extraction for the tree's many small calls) and adds one
-mask-powered shortcut the legacy representation cannot afford:
+The views are derived from the whole-graph
+:class:`~repro.core.prune_kernel.CompiledGraph` by
+:func:`derive_component_view`.
 
-* the excluded set ``X`` is never materialised.  Legacy filters an
-  explicit ``X`` list on every branch only to test ``X == empty`` at
-  leaves.  The kernel instead maintains ``common``, the intersection of
-  ``adj[r]`` over the current clique (one ``&`` per recursion step), and
-  a ``banned`` mask of branch-size-pruned candidates (which legacy
-  deliberately keeps out of ``X``).  At a leaf (``C`` empty) a node
-  ``x`` would sit in legacy's ``X`` iff ``x in common & ~banned`` and
-  ``CPr(R) * pi_x(R) >= tau_floor``: every node of the component either
-  reached this leaf's ``C`` (impossible — ``C`` is empty), died on an
-  adjacency filter (not in ``common``), was branch-size pruned above
-  (``banned``), or was passed over/threshold-filtered — and for those the
-  incremental compares legacy ran along the path are all implied by the
-  final one, because IEEE multiplication by factors ``<= 1`` is monotone
-  non-increasing.  Recomputing ``pi_x`` in clique order reproduces
-  legacy's float sequence bit for bit, so emission decisions are
-  identical while the per-branch ``X`` filtering work disappears
-  entirely.
+The enumeration core (:func:`enumerate_pivot_range`, absorbing Tomita
+pivoting over the MUC recursion of Algorithm 4) keeps the candidate set
+``C`` as a list of ``(id, pi)`` pairs and never materialises the
+excluded set ``X``.  The dict recursion filters an explicit ``X`` list
+on every branch only to test ``X == empty`` at leaves.  The kernel
+instead maintains ``common``, the intersection of ``adj[r]`` over the
+current clique (one ``&`` per recursion step), and a ``banned`` mask of
+branch-size-pruned candidates (which the dict recursion deliberately
+keeps out of ``X``).  At a leaf (``C`` empty) a node ``x`` would sit in
+the dict recursion's ``X`` iff ``x in common & ~banned`` and
+``CPr(R) * pi_x(R) >= tau_floor``: every node of the component either
+reached this leaf's ``C`` (impossible — ``C`` is empty), died on an
+adjacency filter (not in ``common``), was branch-size pruned above
+(``banned``), or was passed over/threshold-filtered — and for those the
+incremental compares along the path are all implied by the final one,
+because IEEE multiplication by factors ``<= 1`` is monotone
+non-increasing.  Recomputing ``pi_x`` in canonical clique order makes
+the emission decision the reference's, bit for bit, while the
+per-branch ``X`` filtering work disappears entirely.
 
-Results are decompiled back to the original node labels, and every float
-that influences a decision is produced by the same multiplication
-sequence as the legacy code, so outputs, yield order, and the statistics
-counters are identical to ``engine="legacy"`` (pinned by
-``tests/core/test_kernel_parity.py``).
-
-The entry points are :func:`enumerate_component` (the MUC recursion of
-Algorithm 4) and :func:`maximum_component` (the MaxUC+ color-bound
-branch-and-bound); both operate on one connected component as produced by
-the pruning/cut pipeline.  The pre-search (Top_k, tau)-core itself has a
-compiled twin in :func:`repro.core.topk_core.topk_core_arrays`.
+:func:`maximum_compiled` is the MaxUC+ color-bound branch-and-bound over
+the same view.  Results are decompiled back to the original node
+labels; ``tests/core/test_kernel_parity.py`` checks both against
+:mod:`repro.reference`.
 """
 
 from __future__ import annotations
 
 from array import array
-from time import perf_counter
 from typing import TYPE_CHECKING, Iterator
 
 from repro.core.prune_kernel import CompiledGraph, node_sort_key
 from repro.core.topk_core import topk_peel_masks
-from repro.deterministic.coloring import greedy_coloring
-from repro.uncertain.graph import Node, UncertainGraph
+from repro.uncertain.graph import Node
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards (types only)
     from repro.core.enumeration import EnumerationStats
@@ -74,19 +66,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards (types only)
 
 __all__ = [
     "CompiledComponent",
-    "compile_component",
     "derive_component_view",
     "node_sort_key",
     "iter_bits",
-    "enumerate_component",
     "enum_root_prep",
-    "enumerate_root_range",
     "pivot_root_plan",
     "enumerate_pivot_range",
-    "maximum_component",
     "maximum_compiled",
     "KERNEL_COMPONENT_LIMIT",
 ]
+
 
 #: Set-bit iteration works through masks 64 bits at a time: each chunk is a
 #: machine-word int, so the extraction loop never does big-int arithmetic.
@@ -101,10 +90,11 @@ _DENSE_ROW_LIMIT = 1024
 #: every bitmask op pays O(n / 64) words even deep in the tree where the
 #: candidate sets are tiny (a sparse 9000-node component makes each
 #: ``common & adj[u]`` a 141-word operation), which was measured slower
-#: than the tuple-list recursion — so the engine dispatch in
-#: :mod:`repro.core.enumeration` routes oversized components to the
-#: legacy core instead.  Matches :data:`_DENSE_ROW_LIMIT`, so the compiled
-#: enumeration always has dense probability rows.
+#: than the tuple-list recursion — so the enumeration search stage runs
+#: oversized components through :func:`repro.core.enumeration._muc`
+#: instead (counted in ``EnumerationStats.fallback_components``).
+#: Matches :data:`_DENSE_ROW_LIMIT`, so the compiled enumeration always
+#: has dense probability rows.
 KERNEL_COMPONENT_LIMIT = _DENSE_ROW_LIMIT
 
 
@@ -115,7 +105,7 @@ KERNEL_COMPONENT_LIMIT = _DENSE_ROW_LIMIT
 #: (incremental) multiplication order, so the skip threshold is raised
 #: by more than the worst-case reassociation rounding error (bounded by
 #: ``#factors * 2^-53 < 1e-10`` within a component of <= 1024 nodes) —
-#: a skip can then never lose a clique the oracle engines would emit.
+#: a skip can then never lose a clique the reference would emit.
 _PIVOT_SAFETY = 1.0 + 1e-9
 
 
@@ -124,9 +114,10 @@ class CompiledComponent:
 
     ``nodes[i]`` is the original label of id ``i``; ids follow the
     library's deterministic node order, so ascending-id iteration
-    reproduces the legacy candidate order exactly.  The CSR rows
+    reproduces the reference candidate order exactly.  The CSR rows
     (``row_offsets`` / ``nbr_ids`` / ``nbr_probs``) are sorted by
-    descending probability (ties by id) so a top-k scan reads a prefix.
+    descending probability (ties by id) so a top-k scan reads a prefix;
+    they are the canonical state the constructor takes.
     ``bits[i]`` caches ``1 << i`` (big-int shifts are not free), and
     ``rows`` holds the dense probability rows for small components
     (``None`` above :data:`_DENSE_ROW_LIMIT`).
@@ -155,62 +146,13 @@ class CompiledComponent:
         "full_mask",
     )
 
-    def __init__(self, graph: UncertainGraph) -> None:
-        order = sorted(graph.nodes(), key=node_sort_key)
-        index = {u: i for i, u in enumerate(order)}
-        n = len(order)
-        bits = [1 << i for i in range(n)]
-        dense = n <= _DENSE_ROW_LIMIT
-
-        adj: list[int] = []
-        prob: list[dict[int, float]] = []
-        rows: list[list[float]] | None = [] if dense else None
-        row_offsets = array("l", [0])
-        nbr_ids = array("l")
-        nbr_probs = array("d")
-
-        for u in order:
-            row: dict[int, float] = {}
-            mask = 0
-            for v, p in graph.incident(u).items():
-                j = index[v]
-                row[j] = p
-                mask |= bits[j]
-            adj.append(mask)
-            prob.append(row)
-            if rows is not None:
-                flat = [0.0] * n
-                for j, p in row.items():
-                    flat[j] = p
-                rows.append(flat)
-            for j, p in sorted(row.items(), key=lambda e: (-e[1], e[0])):
-                nbr_ids.append(j)
-                nbr_probs.append(p)
-            row_offsets.append(len(nbr_ids))
-
-        self.nodes = order
-        self.index = index
-        self.n = n
-        self.adj = adj
-        self.prob = prob
-        self.rows = rows
-        self.bits = bits
-        self.row_offsets = row_offsets
-        self.nbr_ids = nbr_ids
-        self.nbr_probs = nbr_probs
-        self.full_mask = (1 << n) - 1 if n else 0
-
-    def __getstate__(self) -> tuple[
-        list[Node], array[int], array[int], array[float]
-    ]:
-        # Labels + CSR only; all derived forms are rebuilt in __setstate__.
-        return (self.nodes, self.row_offsets, self.nbr_ids, self.nbr_probs)
-
-    def __setstate__(
+    def __init__(
         self,
-        state: tuple[list[Node], array[int], array[int], array[float]],
+        order: list[Node],
+        row_offsets: array[int],
+        nbr_ids: array[int],
+        nbr_probs: array[float],
     ) -> None:
-        order, row_offsets, nbr_ids, nbr_probs = state
         n = len(order)
         bits = [1 << i for i in range(n)]
         adj: list[int] = []
@@ -243,15 +185,22 @@ class CompiledComponent:
         self.nbr_probs = nbr_probs
         self.full_mask = (1 << n) - 1 if n else 0
 
+    def __getstate__(self) -> tuple[
+        list[Node], array[int], array[int], array[float]
+    ]:
+        # Labels + CSR only; all derived forms are rebuilt in __setstate__.
+        return (self.nodes, self.row_offsets, self.nbr_ids, self.nbr_probs)
+
+    def __setstate__(
+        self,
+        state: tuple[list[Node], array[int], array[int], array[float]],
+    ) -> None:
+        CompiledComponent.__init__(self, *state)
+
     def decompile(self, mask: int) -> frozenset[Node]:
         """Original labels of the nodes whose bits are set in ``mask``."""
         nodes = self.nodes
         return frozenset(nodes[i] for i in iter_bits(mask))
-
-
-def compile_component(graph: UncertainGraph) -> CompiledComponent:
-    """Compile ``graph`` (typically one connected component) for search."""
-    return CompiledComponent(graph)
 
 
 def derive_component_view(
@@ -265,8 +214,8 @@ def derive_component_view(
     *nodes* (edges among survivors are untouched) and every edge the cut
     optimization removes crosses two final components — so filtering the
     whole-graph rows to ``members`` reproduces the component's adjacency
-    exactly.  The view is bit-identical to
-    ``compile_component(component)``:
+    exactly.  The view is bit-identical to a from-scratch compile of the
+    component subgraph (``repro.reference.compile_component``):
 
     * local ids renumber ``members`` by ascending ``sort_rank``, which
       restricted to any subset equals the component's own
@@ -277,7 +226,8 @@ def derive_component_view(
       the component order ``(-probability, local_id)`` (local ids are
       monotone in rank), with the identical float objects;
     * every derived form (bitmask rows, dense rows, dicts) is rebuilt
-      from that CSR by the same code the pickle path uses.
+      from that CSR by the constructor, the same code the pickle path
+      uses.
 
     Runs in ``O(sum of member degrees)`` — no sorting, no string keys —
     which is what collapses the pipeline's second compile stage into a
@@ -307,9 +257,8 @@ def derive_component_view(
                 nbr_ids.append(li)
                 nbr_probs.append(dps[j])
         row_offsets.append(len(nbr_ids))
-    view = CompiledComponent.__new__(CompiledComponent)
-    view.__setstate__((nodes, row_offsets, nbr_ids, nbr_probs))
-    return view
+    return CompiledComponent(nodes, row_offsets, nbr_ids, nbr_probs)
+
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -333,53 +282,6 @@ def iter_bits(mask: int) -> Iterator[int]:
 # Enumeration: the MUC recursion over the compiled component
 # ----------------------------------------------------------------------
 
-def enumerate_component(
-    component: UncertainGraph,
-    k: int,
-    tau_floor: float,
-    min_size: int,
-    insearch: bool,
-    insearch_min_candidates: int,
-    stats: EnumerationStats,
-) -> Iterator[frozenset[Node]]:
-    """All maximal (k, tau)-cliques of one component (Algorithm 4 core).
-
-    Mirrors ``enumeration._muc`` branch for branch: identical recursion
-    tree, identical floats, identical counter totals, identical clique
-    order — only the data representation differs (see the module
-    docstring for the virtual-``X`` argument).  Thin composition of
-    :func:`enum_root_prep` (the root call's gate and bookkeeping) and
-    :func:`enumerate_root_range` over the full root range — the same two
-    pieces the process-parallel layer drives with partial ranges; the
-    driver stays a generator, so consumers still iterate lazily component
-    by component.
-    """
-    t_start = perf_counter()
-    comp = compile_component(component)
-    n = comp.n
-    if n == 0:
-        return
-    if comp.rows is None:  # pragma: no cover - dispatch keeps this out
-        raise ValueError(
-            "enumerate_component requires a component within "
-            f"KERNEL_COMPONENT_LIMIT ({KERNEL_COMPONENT_LIMIT}), got {n}"
-        )
-    t_compiled = perf_counter()
-    stats.timings.add("compile", t_compiled - t_start)
-    cands = enum_root_prep(
-        comp, k, tau_floor, min_size, insearch, insearch_min_candidates,
-        stats,
-    )
-    out: list[frozenset[Node]] = []
-    if cands is not None:
-        out = enumerate_root_range(
-            comp, k, tau_floor, min_size, insearch,
-            insearch_min_candidates, cands, 0, len(cands), stats,
-        )
-    stats.timings.add("search", perf_counter() - t_compiled)
-    yield from out
-
-
 def enum_root_prep(
     comp: CompiledComponent,
     k: int,
@@ -396,9 +298,8 @@ def enum_root_prep(
     loop: counts the root search call and applies the root in-search core
     gate (Algorithm 4 lines 12-15 with ``R`` empty).  Returns the
     surviving root candidate list, or ``None`` when the whole component is
-    dead (root insearch prune).  Concatenating
-    :func:`enumerate_root_range` over any partition of the result — stats
-    summed — reproduces the sequential search exactly.
+    dead (root insearch prune).  :func:`pivot_root_plan` turns the result
+    into the root branch list that :func:`enumerate_pivot_range` splits.
     """
     n = comp.n
     stats.search_calls += 1
@@ -413,357 +314,6 @@ def enum_root_prep(
             cands = [e for e in cands if alive >> e[0] & 1]
     return cands
 
-
-def enumerate_root_range(
-    comp: CompiledComponent,
-    k: int,
-    tau_floor: float,
-    min_size: int,
-    insearch: bool,
-    insearch_min_candidates: int,
-    cands: list[tuple[int, float]],
-    start: int,
-    stop: int,
-    stats: EnumerationStats,
-) -> list[frozenset[Node]]:
-    """Search the root branches ``cands[start:stop]`` of one component.
-
-    ``cands`` must be the full surviving root candidate list from
-    :func:`enum_root_prep`; each branch's candidate-filter tail is always
-    the suffix of the *whole* list, so a range owns its branch subtrees
-    but not the nodes after it.  The branches before ``start`` are
-    **silently replayed** — only their side effects on the root loop's
-    ``rem_mask`` and ``banned`` masks are reproduced (the same popcount
-    and threshold compares the sequential loop ran, minus recursion,
-    stats, and output) — so the live range starts from the exact
-    sequential state, and concatenating the outputs of a partition of
-    ``range(len(cands))`` in range order equals the sequential clique
-    order with the stats summing to the sequential totals.
-    """
-    n = comp.n
-    rows = comp.rows
-    if rows is None:
-        raise ValueError(
-            "enumerate_root_range requires a component within "
-            f"KERNEL_COMPONENT_LIMIT ({KERNEL_COMPONENT_LIMIT}), got {n}"
-        )
-    adj = comp.adj
-    bits = comp.bits
-    nodes = comp.nodes
-    out: list[frozenset[Node]] = []
-    # Batched stats, flushed once per range: attribute access on the
-    # stats object is too slow for a 10^5-calls recursion.
-    calls = insearch_prunes = branch_prunes = cliques = 0
-
-    def muc(
-        clique: list[int],
-        clique_len: int,
-        clique_prob: float,
-        cands: list[tuple[int, float]],
-        cand_mask: int,
-        common: int,
-        banned: int,
-    ) -> None:
-        # The recursive MUC procedure (Algorithm 4, lines 7-22).
-        # ``cands`` holds (id, pi) pairs in ascending id order — the
-        # compiled order *is* the legacy order — with pi the incremental
-        # product to the clique.  ``common`` is the intersection of
-        # adj[r] over the clique and ``banned`` the branch-size-pruned
-        # ids; together they stand in for legacy's X (see the module
-        # docstring).  ``cand_mask`` is the bitmask of ``cands`` — only
-        # guaranteed valid while the branch-size prune is still live
-        # (its sole consumer); deep calls pass 0.  C is never empty
-        # here: leaf children are handled inline below.
-        nonlocal calls, insearch_prunes, branch_prunes, cliques
-        calls += 1
-        nc = len(cands)
-        if nc >= insearch_min_candidates and insearch and clique_len < min_size:
-            # Lines 12-15 of Algorithm 4 over the compiled CSR rows:
-            # shrink C to the (Top_k, tau)-core of R + C, aborting when a
-            # clique member is peeled or under min_size nodes survive.
-            # Masks are rebuilt here rather than threaded through the
-            # recursion: the gate fires on a tiny fraction of calls, and
-            # the cand_mask argument is not valid on deep ones.
-            cand_mask = 0
-            for e in cands:
-                cand_mask |= bits[e[0]]
-            clique_mask = 0
-            for r in clique:
-                clique_mask |= bits[r]
-            alive = topk_peel_masks(
-                comp, clique_mask | cand_mask, clique_mask, k, tau_floor
-            )
-            if alive is None or alive.bit_count() < min_size:
-                insearch_prunes += 1
-                return
-            pruned = alive & cand_mask
-            if pruned != cand_mask:
-                insearch_prunes += 1
-                cand_mask = pruned
-                cands = [e for e in cands if pruned >> e[0] & 1]
-
-        i = 0
-        if clique_len + 1 < min_size:
-            # Shallow branch loop: the branch-size prune (line 19) can
-            # still fire, so the candidate bitmask is maintained and a
-            # popcount upper bound screens each branch — the threshold
-            # filter only ever shrinks the neighbor intersection, so a
-            # branch hopeless by popcount alone takes the same prune
-            # (and counter) without running the filter.
-            need = min_size - clique_len - 1
-            child_len = clique_len + 1
-            child_shallow = need > 1
-            rem_mask = cand_mask
-            for u, pi_u in cands:
-                i += 1
-                bu = bits[u]
-                rem_mask ^= bu
-                if (rem_mask & adj[u]).bit_count() < need:
-                    branch_prunes += 1
-                    banned |= bu
-                    continue
-                new_prob = clique_prob * pi_u
-                urow = rows[u]
-                # Line 17's candidate filter: v survives when the edge
-                # exists (dense rows store 0.0 for non-edges) and the
-                # incremental product clears the precomputed
-                # threshold_floor(tau) — the pragma covers that raw
-                # hot-loop compare.  An explicit loop, not a
-                # comprehension: on 3.11 every comprehension is a nested
-                # function call (PEP 709 inlining is 3.12+), which this
-                # loop runs ~10^6 times.
-                new_cands = []
-                for v, pi_v in cands[i:]:
-                    p = urow[v]
-                    if p:
-                        piv = pi_v * p
-                        if new_prob * piv >= tau_floor:  # repro-lint: ignore[RPL001]
-                            new_cands.append((v, piv))
-                if len(new_cands) >= need:
-                    # Same test as line 19's ``|R| + 1 + |C'| >= min_size``
-                    # with the constants folded into ``need``; new_cands
-                    # is non-empty here — an empty C cannot pass the size
-                    # test while the prune is live — so no leaf case.
-                    new_mask = 0
-                    if child_shallow:
-                        for e in new_cands:
-                            new_mask |= bits[e[0]]
-                    clique.append(u)
-                    muc(
-                        clique, child_len, new_prob, new_cands,
-                        new_mask, common & adj[u], banned,
-                    )
-                    clique.pop()
-                else:
-                    # Branch-size prune (Algorithm 4, line 19): u cannot
-                    # reach min_size here nor extend any later clique of
-                    # this subtree, so legacy keeps it out of X —
-                    # mirrored by the banned mask.
-                    branch_prunes += 1
-                    banned |= bu
-        else:
-            # Deep: every branch recurses (the size test is a tautology)
-            # and no prune can fire, so the whole subtree below runs in
-            # the lean branch loop.  ``banned`` is frozen once the prune
-            # is dead; its complement is taken once for all the subtree's
-            # leaf scans.
-            deep_branches(clique, clique_prob, cands, common, ~banned)
-
-    def deep_branches(
-        clique: list[int],
-        clique_prob: float,
-        cands: list[tuple[int, float]],
-        common: int,
-        not_banned: int,
-    ) -> None:
-        # The branch loop shared by every deep call — the clique already
-        # has at least min_size - 1 nodes, so for every *child* the
-        # in-search gate is dead (its clique reaches min_size), the
-        # branch-size prune cannot fire, and no candidate bitmask is
-        # needed.  The caller has already counted the enclosing call;
-        # child calls are counted here at the call site, which is what
-        # lets leaf and singleton children run without a frame.
-        nonlocal calls, cliques
-        i = 0
-        for u, pi_u in cands:
-            i += 1
-            new_prob = clique_prob * pi_u
-            urow = rows[u]
-            new_cands = []
-            for v, pi_v in cands[i:]:
-                p = urow[v]
-                if p:
-                    piv = pi_v * p
-                    if new_prob * piv >= tau_floor:  # repro-lint: ignore[RPL001]
-                        new_cands.append((v, piv))
-            clique.append(u)
-            if len(new_cands) > 1:
-                calls += 1
-                deep_branches(
-                    clique, new_prob, new_cands, common & adj[u], not_banned
-                )
-            elif new_cands:
-                # Singleton chain: the child would run exactly one branch
-                # whose tail is empty and land straight in its own leaf.
-                # Emulating the child frame *and* its leaf here drops
-                # about a quarter of all recursion frames; the two
-                # counter bumps are the child call and the leaf call
-                # legacy would have made.
-                v, piv = new_cands[0]
-                calls += 2
-                new_prob = new_prob * piv
-                clique.append(v)
-                wit = common & adj[u] & adj[v] & not_banned
-                blocked = False
-                base = 0
-                while wit:
-                    chunk = wit & _CHUNK_MASK
-                    wit >>= 64
-                    while chunk:
-                        low = chunk & -chunk
-                        chunk ^= low
-                        w = base + low.bit_length() - 1
-                        pi = 1.0
-                        for r in clique:
-                            pi *= rows[r][w]
-                            # Hot path: precomputed threshold_floor.
-                            if new_prob * pi < tau_floor:  # repro-lint: ignore[RPL001]
-                                break
-                        else:
-                            blocked = True
-                            wit = 0
-                            break
-                    base += 64
-                if not blocked:
-                    cliques += 1
-                    out.append(frozenset(nodes[x] for x in clique))
-                clique.pop()
-            else:
-                # The child call would find C empty: handle the leaf
-                # inline (same call count, no frame).  This is the
-                # virtual-X test: ``wit`` is the child's
-                # ``common & ~banned`` — every node adjacent to the whole
-                # clique that legacy's X could still contain at this
-                # leaf.  For each, pi is rebuilt by multiplying edge
-                # probabilities in clique (= path) order — the same float
-                # sequence legacy maintained incrementally — and compared
-                # exactly as legacy's final X filter did.  Partial
-                # products shrink monotonically, so dropping below the
-                # floor early is conclusive; completing the loop
-                # reproduces legacy's final compare bit for bit.
-                calls += 1
-                wit = common & adj[u] & not_banned
-                blocked = False
-                base = 0
-                while wit:
-                    chunk = wit & _CHUNK_MASK
-                    wit >>= 64
-                    while chunk:
-                        low = chunk & -chunk
-                        chunk ^= low
-                        w = base + low.bit_length() - 1
-                        pi = 1.0
-                        for r in clique:
-                            pi *= rows[r][w]
-                            # Hot path: precomputed threshold_floor.
-                            if new_prob * pi < tau_floor:  # repro-lint: ignore[RPL001]
-                                break
-                        else:
-                            # The witness extends R: not maximal.
-                            blocked = True
-                            wit = 0
-                            break
-                    base += 64
-                if not blocked:
-                    cliques += 1
-                    out.append(frozenset(nodes[x] for x in clique))
-            clique.pop()
-
-    if min_size <= 1:
-        # Deep root: every branch recurses straight into the lean loop
-        # (the shallow machinery never runs), and splitting it would mean
-        # a second copy of the inline leaf emulation for no benefit —
-        # min_size <= 1 only happens at k = 0, never on a perf-relevant
-        # workload — so only the whole range is accepted.
-        if start != 0 or stop != len(cands):
-            raise ValueError(
-                "deep-root search (min_size <= 1) cannot be range-split"
-            )
-        if cands:
-            deep_branches([], 1.0, cands, comp.full_mask, ~0)
-    else:
-        # The root branch loop of the sequential search, split at branch
-        # granularity.  Branches [0, start) are replayed silently;
-        # [start, stop) run live — the loop body is the shallow branch
-        # loop of ``muc`` with clique_prob = 1.0 folded away (IEEE
-        # 1.0 * x == x, so the floats are unchanged).
-        need = min_size - 1
-        child_shallow = need > 1
-        rem_mask = 0
-        for e in cands:
-            rem_mask |= bits[e[0]]
-        banned = 0
-        for idx in range(start):
-            u, pi_u = cands[idx]
-            bu = bits[u]
-            rem_mask ^= bu
-            if (rem_mask & adj[u]).bit_count() < need:
-                banned |= bu
-                continue
-            urow = rows[u]
-            survivors = 0
-            for v, pi_v in cands[idx + 1:]:
-                p = urow[v]
-                if p:
-                    piv = pi_v * p
-                    # Replayed verdict of the live filter below; survivor
-                    # counting can stop at ``need`` because the filter is
-                    # append-only.
-                    if pi_u * piv >= tau_floor:  # repro-lint: ignore[RPL001]
-                        survivors += 1
-                        if survivors >= need:
-                            break
-            if survivors < need:
-                banned |= bu
-        clique: list[int] = []
-        full = comp.full_mask
-        for idx in range(start, stop):
-            u, pi_u = cands[idx]
-            bu = bits[u]
-            rem_mask ^= bu
-            if (rem_mask & adj[u]).bit_count() < need:
-                branch_prunes += 1
-                banned |= bu
-                continue
-            new_prob = pi_u  # root clique_prob is exactly 1.0
-            urow = rows[u]
-            new_cands = []
-            for v, pi_v in cands[idx + 1:]:
-                p = urow[v]
-                if p:
-                    piv = pi_v * p
-                    # Hot path: precomputed threshold_floor.
-                    if new_prob * piv >= tau_floor:  # repro-lint: ignore[RPL001]
-                        new_cands.append((v, piv))
-            if len(new_cands) >= need:
-                new_mask = 0
-                if child_shallow:
-                    for e in new_cands:
-                        new_mask |= bits[e[0]]
-                clique.append(u)
-                muc(
-                    clique, 1, new_prob, new_cands, new_mask,
-                    full & adj[u], banned,
-                )
-                clique.pop()
-            else:
-                branch_prunes += 1
-                banned |= bu
-    stats.search_calls += calls
-    stats.insearch_prunes += insearch_prunes
-    stats.branch_size_prunes += branch_prunes
-    stats.cliques += cliques
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -790,15 +340,15 @@ def enumerate_root_range(
 #
 # Emission stays on the oracle predicate: at a leaf the clique
 # probability and every witness chain are *recomputed in canonical
-# ascending-id order* — the exact nested float sequence the bitset and
-# legacy engines build along their paths — so the emitted set of
-# cliques, and each clique's probability chain, are bit-identical to
-# ``engine="bitset"``.  (The descent filters multiply in pivot path
+# ascending-id order* — the exact nested float sequence the reference
+# recursion builds along its path — so the emitted set of cliques, and
+# each clique's probability chain, are bit-identical to the
+# reference's.  (The descent filters multiply in pivot path
 # order; a filter verdict can in principle differ from the canonical
 # one when a partial product lands within ~1 ulp of the threshold
 # floor, a measure-zero event documented in docs/performance.md and
 # never observed by the parity suites.)  Yield order follows the pivot
-# recursion and therefore differs from the oracle engines; parity is on
+# recursion and therefore differs from the reference; parity is on
 # the set.
 
 
@@ -885,12 +435,12 @@ def enumerate_pivot_range(
     stop: int,
     stats: EnumerationStats,
 ) -> list[frozenset[Node]]:
-    """Pivot-engine search of the root branches ``branches[start:stop]``.
+    """Pivot search of the root branches ``branches[start:stop]``.
 
     ``cands`` must be the full surviving root candidate list from
     :func:`enum_root_prep` and ``branches`` the root branch list from
-    :func:`pivot_root_plan`.  Unlike the bitset engine's suffix ranges,
-    a pivot branch's candidate tail carries the absorbed (skipped)
+    :func:`pivot_root_plan`.  A pivot branch's candidate tail carries
+    the absorbed (skipped)
     vertices *before* it as well, so the root loop filters ``cands`` by
     a live remaining-mask rather than slicing.  Branches before
     ``start`` are silently replayed — the same popcount and threshold
@@ -927,17 +477,17 @@ def enumerate_pivot_range(
         # (id, pi) pairs in ascending id order with pi the incremental
         # product to the clique *in pivot path order*; ``common`` is the
         # intersection of adj[r] over the clique and ``banned`` the
-        # branch-size-pruned ids (the virtual-X machinery of the bitset
-        # engine, unchanged — carried-forward candidates that die on a
-        # filter are caught by the leaf witness scan automatically).
+        # branch-size-pruned ids (the virtual-X machinery of the module
+        # docstring — carried-forward candidates that die on a filter
+        # are caught by the leaf witness scan automatically).
         nonlocal calls, insearch_prunes, branch_prunes, cliques
         nonlocal pbranches, pskipped
         calls += 1
         if not cands:
             # Leaf: recompute the canonical ascending-order chain (the
-            # float sequence the oracle engines built along their path)
-            # and run the witness scan against it — emission decisions
-            # are bit-identical to engine="bitset".
+            # float sequence the reference built along its path) and
+            # run the witness scan against it — emission decisions are
+            # bit-identical to the reference's.
             if clique_len >= min_size:
                 order = sorted(clique)
                 prob = 1.0
@@ -976,8 +526,8 @@ def enumerate_pivot_range(
 
         nc = len(cands)
         if nc >= insearch_min_candidates and insearch and clique_len < min_size:
-            # In-search (Top_k, tau)-core gate, identical to the bitset
-            # engine's (Algorithm 4 lines 12-15).
+            # In-search (Top_k, tau)-core gate (Algorithm 4 lines
+            # 12-15), the compiled twin of the reference's.
             cand_mask = 0
             for e in cands:
                 cand_mask |= bits[e[0]]
@@ -1160,43 +710,6 @@ def enumerate_pivot_range(
 # Maximum: the MaxUC+ color-bound branch-and-bound over bitmask state
 # ----------------------------------------------------------------------
 
-def maximum_component(
-    component: UncertainGraph,
-    k: int,
-    tau_floor: float,
-    min_size: int,
-    best_size: int,
-    use_advanced_one: bool,
-    use_advanced_two: bool,
-    insearch: bool,
-    stats: MaximumSearchStats,
-) -> tuple[list[Node] | None, int]:
-    """MaxUC+ search of one component, seeded with the incumbent size.
-
-    Returns ``(best, best_size)`` where ``best`` is the improved clique
-    as original labels (``None`` when the incumbent was not beaten).
-    Thin composition of the compile + coloring step and
-    :func:`maximum_compiled`, split so the parallel layer can ship the
-    compiled component and the (plain-int) color list to workers without
-    the graph object.
-    """
-    t_start = perf_counter()
-    comp = compile_component(component)
-    n = comp.n
-    if n == 0:
-        return None, best_size
-    coloring = greedy_coloring(component)
-    color = [coloring[u] for u in comp.nodes]
-    t_compiled = perf_counter()
-    stats.timings.add("compile", t_compiled - t_start)
-    result = maximum_compiled(
-        comp, color, k, tau_floor, min_size, best_size, use_advanced_one,
-        use_advanced_two, insearch, stats,
-    )
-    stats.timings.add("search", perf_counter() - t_compiled)
-    return result
-
-
 def maximum_compiled(
     comp: CompiledComponent,
     color: list[int],
@@ -1212,11 +725,11 @@ def maximum_compiled(
     """MaxUC+ search of one *already compiled* component.
 
     ``color[i]`` is the greedy color of node id ``i``.  Mirrors the
-    closure in ``maximum.max_uc_plus`` exactly, including the order in
+    dict search of ``repro.reference`` exactly, including the order in
     which the three color bounds and the in-search peel fire and every
     float they produce (the bounds are the compiled twins of
     :mod:`repro.core.bounds`).  There is no maximality test here, so the
-    candidate loop matches legacy's shape with dense rows and the bound
+    candidate loop matches the reference's shape with dense rows and the bound
     bookkeeping batched into local counters.
     """
     n = comp.n
@@ -1225,7 +738,7 @@ def maximum_compiled(
     rows = comp.rows
     bits = comp.bits
     nodes = comp.nodes
-    # Batched stats (flushed once per component; see _CALLS comment).
+    # Batched stats (flushed once per component; as in enumerate_pivot_range).
     calls = size_prunes = basic_prunes = adv1_prunes = 0
     adv2_prunes = ins_prunes = 0
 

@@ -9,10 +9,12 @@ work over a :class:`~concurrent.futures.ProcessPoolExecutor`:
 * **work units** are whole small components plus *top-level branch
   ranges* of large components (component sizes are heavily skewed, so
   component granularity alone cannot balance load).  A task is
-  ``(compiled component, root candidate list, start, stop)`` run by
-  :func:`repro.core.kernel.enumerate_root_range`; the driver does the
-  root-call bookkeeping once via :func:`repro.core.kernel.enum_root_prep`
-  so per-range counters sum to the sequential totals.
+  ``(compiled component, root candidates, root branch list, start,
+  stop)`` run by :func:`repro.core.kernel.enumerate_pivot_range`; the
+  driver does the root-call bookkeeping once via
+  :func:`repro.core.kernel.enum_root_prep` and
+  :func:`repro.core.kernel.pivot_root_plan` so per-range counters sum
+  to the sequential totals.
 * **what crosses the pipe** is the picklable
   :class:`~repro.core.kernel.CompiledComponent` (node labels + CSR
   arrays; every derived form is rebuilt worker-side) — never graph
@@ -55,21 +57,17 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import Future, ProcessPoolExecutor
-from time import perf_counter
 from typing import Iterator, Sequence
 
-from repro.core.enumeration import EnumerationStats, _muc, _ordered
+from repro.core.enumeration import EnumerationStats, _muc_component
 from repro.core.kernel import (
     CompiledComponent,
-    compile_component,
     enum_root_prep,
     enumerate_pivot_range,
-    enumerate_root_range,
     maximum_compiled,
     pivot_root_plan,
 )
 from repro.core.maximum import MaximumSearchStats
-from repro.deterministic.coloring import greedy_coloring
 from repro.uncertain.graph import Node, UncertainGraph
 
 __all__ = [
@@ -151,26 +149,6 @@ def branch_ranges(n_roots: int, n_ranges: int) -> list[tuple[int, int]]:
 # Enumeration
 # ----------------------------------------------------------------------
 
-def _enum_task(
-    comp: CompiledComponent,
-    k: int,
-    tau_floor: float,
-    min_size: int,
-    insearch: bool,
-    insearch_min_candidates: int,
-    cands: list[tuple[int, float]],
-    start: int,
-    stop: int,
-) -> tuple[list[frozenset[Node]], EnumerationStats]:
-    """Worker: search one root branch range, return cliques + counters."""
-    stats = EnumerationStats()
-    out = enumerate_root_range(
-        comp, k, tau_floor, min_size, insearch, insearch_min_candidates,
-        cands, start, stop, stats,
-    )
-    return out, stats
-
-
 def _pivot_task(
     comp: CompiledComponent,
     k: int,
@@ -183,12 +161,12 @@ def _pivot_task(
     start: int,
     stop: int,
 ) -> tuple[list[frozenset[Node]], EnumerationStats]:
-    """Worker: pivot-engine search of one root *branch-list* range.
+    """Worker: pivot search of one root *branch-list* range.
 
     The driver computed the root plan (pivot + absorption) once and
     ships the resulting branch list; the range function replays the
     branches before ``start`` silently, so per-range counters sum to the
-    sequential totals exactly as in the bitset path.
+    sequential totals.
     """
     stats = EnumerationStats()
     out = enumerate_pivot_range(
@@ -198,31 +176,9 @@ def _pivot_task(
     return out, stats
 
 
-def _legacy_component(
-    component: UncertainGraph,
-    k: int,
-    tau_floor: float,
-    min_size: int,
-    insearch: bool,
-    stats: EnumerationStats,
-) -> Iterator[frozenset[Node]]:
-    """The sequential dispatch's oversized-component fallback, verbatim.
-
-    Components above ``KERNEL_COMPONENT_LIMIT`` run the legacy tuple-list
-    recursion in the driver process (it is faster than the compiled core
-    there, and its generator is interleaved with the consumer, so it
-    cannot be shipped); the pool keeps chewing on compiled tasks while
-    this runs.
-    """
-    candidates = [(v, 1.0) for v in _ordered(component.nodes())]
-    return _muc(
-        component, [], 1.0, candidates, [], k, tau_floor, min_size,
-        insearch, stats,
-    )
-
-
 def enumerate_parallel(
     components: Sequence[UncertainGraph],
+    compiled: Sequence[CompiledComponent | None],
     k: int,
     tau_floor: float,
     min_size: int,
@@ -231,74 +187,55 @@ def enumerate_parallel(
     component_limit: int,
     n_jobs: int,
     stats: EnumerationStats,
-    compiled: Sequence[CompiledComponent | None] | None = None,
-    engine: str = "bitset",
 ) -> Iterator[frozenset[Node]]:
     """Fan the per-component enumeration over ``n_jobs`` processes.
 
     Yields exactly the sequential clique sequence: tasks are emitted in
     ``(component ordinal, range start)`` order, and ranges within a
     component always see the same root state the sequential loop built
-    (see :func:`repro.core.kernel.enumerate_root_range`).  ``stats`` ends
-    up identical to a ``jobs=1`` run: the driver does the root-call
+    (see :func:`repro.core.kernel.enumerate_pivot_range`).  ``stats``
+    ends up identical to a ``jobs=1`` run: the driver does the root-call
     bookkeeping per component, workers count their range, and ``merge``
     folds the rest back in.
 
-    ``compiled`` optionally supplies the compile-stage artifact (one
-    :class:`CompiledComponent` or ``None`` per component, as produced by
-    :func:`repro.core.pipeline.compile_enumeration_stage`); components it
-    covers skip the in-driver compile, so a warm session pays nothing
-    here.  Omitted or ``None`` entries are compiled in-driver as before.
-
-    ``engine="pivot"`` splits each component's root *branch list* (the
-    driver runs :func:`repro.core.kernel.pivot_root_plan` once, so the
-    branch order — and therefore the replayed root state of every range —
-    honors the root pivot's absorption) and ships the list to
-    :func:`repro.core.kernel.enumerate_pivot_range` tasks.
+    ``compiled`` is the compile-stage artifact (one
+    :class:`CompiledComponent` per searchable component, ``None`` for
+    components outside ``[min_size, component_limit]``, as produced by
+    :func:`repro.core.pipeline.compile_enumeration_stage`).  Each
+    component's root *branch list* comes from
+    :func:`repro.core.kernel.pivot_root_plan`, run once in the driver,
+    so the replayed root state of every range honors the root pivot's
+    absorption.  Components above ``component_limit`` run the ``_muc``
+    fallback in the driver process (its generator is interleaved with
+    the consumer, so it cannot be shipped) while the pool keeps chewing
+    on compiled tasks.
     """
-    t_start = perf_counter()
-    compile_s = 0.0
-
     # One slot per searched component, in order: either the oversized
-    # legacy fallback or the list of branch-range payloads (the branch
-    # list is None for the bitset engine, whose ranges slice cands).
-    legacy_slot: dict[int, UncertainGraph] = {}
-    task_slot: dict[int, list[tuple[CompiledComponent, list[tuple[int, float]], list[int] | None, int, int]]] = {}
+    # fallback or the list of branch-range payloads.
+    fallback_slot: dict[int, UncertainGraph] = {}
+    task_slot: dict[int, list[tuple[CompiledComponent, list[tuple[int, float]], list[int], int, int]]] = {}
     slot_order: list[int] = []
     for ordinal, component in enumerate(components):
         if component.num_nodes < min_size:
             continue
         if component.num_nodes > component_limit:
-            legacy_slot[ordinal] = component
+            fallback_slot[ordinal] = component
             slot_order.append(ordinal)
             continue
-        comp = compiled[ordinal] if compiled is not None else None
-        if comp is None:
-            t0 = perf_counter()
-            comp = compile_component(component)
-            compile_s += perf_counter() - t0
-        if comp.n == 0:
-            continue
+        comp = compiled[ordinal]
+        assert comp is not None  # min_size <= n <= component_limit
         cands = enum_root_prep(
             comp, k, tau_floor, min_size, insearch,
             insearch_min_candidates, stats,
         )
         if cands is None:
             continue
-        branches: list[int] | None = None
-        if engine == "pivot":
-            # Root plan in the driver (counted once); ranges partition
-            # the branch list, and absorbed candidates never split off.
-            branches = pivot_root_plan(comp, k, tau_floor, min_size,
-                                       cands, stats)
-            n_roots = len(branches)
-            splittable = n_roots >= _MIN_SPLIT_ROOTS
-        else:
-            n_roots = len(cands)
-            # Deep roots (min_size <= 1) are whole-range only for the
-            # bitset engine's enumerate_root_range.
-            splittable = min_size > 1 and n_roots >= _MIN_SPLIT_ROOTS
-        if splittable:
+        # Root plan in the driver (counted once); ranges partition the
+        # branch list, and absorbed candidates never split off.
+        branches = pivot_root_plan(comp, k, tau_floor, min_size, cands,
+                                   stats)
+        n_roots = len(branches)
+        if n_roots >= _MIN_SPLIT_ROOTS:
             ranges = branch_ranges(
                 n_roots,
                 min(n_jobs * _TASKS_PER_JOB, n_roots // _MIN_SPLIT_ROOTS),
@@ -314,44 +251,34 @@ def enumerate_parallel(
         # Nothing to ship: run any oversized fallbacks and return without
         # paying for a worker pool.
         for ordinal in slot_order:
-            yield from _legacy_component(
-                legacy_slot[ordinal], k, tau_floor, min_size, insearch,
+            yield from _muc_component(
+                fallback_slot[ordinal], k, tau_floor, min_size, insearch,
                 stats,
             )
-        stats.timings.add("compile", compile_s)
-        stats.timings.add("search", perf_counter() - t_start - compile_s)
         return
 
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        futures: dict[int, list[Future[tuple[list[frozenset[Node]], EnumerationStats]]]] = {}
-        for ordinal in slot_order:
-            if ordinal not in task_slot:
-                continue
-            futures[ordinal] = [
+        futures: dict[int, list[Future[tuple[list[frozenset[Node]], EnumerationStats]]]] = {
+            ordinal: [
                 pool.submit(
                     _pivot_task, comp, k, tau_floor, min_size, insearch,
                     insearch_min_candidates, cands, branches, start, stop,
                 )
-                if branches is not None
-                else pool.submit(
-                    _enum_task, comp, k, tau_floor, min_size, insearch,
-                    insearch_min_candidates, cands, start, stop,
-                )
-                for comp, cands, branches, start, stop in task_slot[ordinal]
+                for comp, cands, branches, start, stop in tasks
             ]
+            for ordinal, tasks in task_slot.items()
+        }
         for ordinal in slot_order:
-            if ordinal in legacy_slot:
-                yield from _legacy_component(
-                    legacy_slot[ordinal], k, tau_floor, min_size, insearch,
-                    stats,
+            if ordinal in fallback_slot:
+                yield from _muc_component(
+                    fallback_slot[ordinal], k, tau_floor, min_size,
+                    insearch, stats,
                 )
                 continue
             for future in futures[ordinal]:
                 cliques, task_stats = future.result()
                 stats.merge(task_stats)
                 yield from cliques
-    stats.timings.add("compile", compile_s)
-    stats.timings.add("search", perf_counter() - t_start - compile_s)
 
 
 # ----------------------------------------------------------------------
@@ -381,6 +308,7 @@ def _max_task(
 
 def maximum_parallel(
     components: Sequence[UncertainGraph],
+    precompiled: Sequence[tuple[CompiledComponent, list[int]] | None],
     k: int,
     tau_floor: float,
     min_size: int,
@@ -389,7 +317,6 @@ def maximum_parallel(
     insearch: bool,
     n_jobs: int,
     stats: MaximumSearchStats,
-    precompiled: Sequence[tuple[CompiledComponent, list[int]] | None] | None = None,
 ) -> tuple[list[Node] | None, int]:
     """Fan the MaxUC+ component loop over ``n_jobs`` processes.
 
@@ -397,40 +324,19 @@ def maximum_parallel(
     loop would, with ``stats`` counters identical to ``jobs=1`` — see
     the module docstring for the speculative two-phase argument.
 
-    ``precompiled`` optionally supplies the compile-stage artifact (one
-    ``(compiled component, color array)`` pair or ``None`` per
-    component, as produced by
-    :func:`repro.core.pipeline.compile_maximum_stage`, which uses the
-    same ``n > k`` eligibility rule); covered components skip the
-    in-driver compile + coloring.
+    ``precompiled`` is the compile-stage artifact: one ``(compiled
+    component, color array)`` pair per component with more than ``k``
+    nodes (anything smaller is skipped under every incumbent the chain
+    can produce), ``None`` for the rest.
     """
-    t_start = perf_counter()
-    compile_s = 0.0
-
-    # Compile every component the sequential loop could possibly search
-    # (anything with more than k nodes; smaller ones are skipped under
-    # every incumbent the chain can produce).
-    compiled: list[tuple[UncertainGraph, CompiledComponent, list[int]] | None] = []
-    for i, component in enumerate(components):
-        if component.num_nodes <= k:
-            compiled.append(None)
-            continue
-        entry = precompiled[i] if precompiled is not None else None
-        if entry is not None:
-            compiled.append((component, entry[0], entry[1]))
-            continue
-        t0 = perf_counter()
-        comp = compile_component(component)
-        coloring = greedy_coloring(component)
-        color = [coloring[u] for u in comp.nodes]
-        compile_s += perf_counter() - t0
-        compiled.append((component, comp, color))
+    compiled: list[tuple[UncertainGraph, CompiledComponent, list[int]] | None] = [
+        (component, entry[0], entry[1]) if entry is not None else None
+        for component, entry in zip(components, precompiled)
+    ]
 
     best: list[Node] | None = None
     best_size = k
     if not any(entry is not None for entry in compiled):
-        stats.timings.add("compile", compile_s)
-        stats.timings.add("search", perf_counter() - t_start - compile_s)
         return best, best_size
 
     final_stats: list[MaximumSearchStats | None] = [None] * len(compiled)
@@ -494,6 +400,4 @@ def maximum_parallel(
     for entry_stats in final_stats:
         if entry_stats is not None:
             stats.merge(entry_stats)
-    stats.timings.add("compile", compile_s)
-    stats.timings.add("search", perf_counter() - t_start - compile_s)
     return best, best_size

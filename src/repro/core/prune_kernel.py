@@ -25,7 +25,7 @@ entirely over the flat structures:
   a bucketed worklist (per-round frontier lists drained in sequence)
   instead of the deque, and the verify-before-peel + final verification
   sweep discipline preserved — so the canonical core is identical to the
-  legacy peel on every input.
+  reference peel on every input.
 * :func:`distribution_peel` — the Bonchi et al. [16] DPCore baseline
   (Eqs. 3 and 4) over the same compiled form, with reused column
   scratch buffers instead of per-column allocations.
@@ -40,16 +40,17 @@ per graph version serves every prune of every query.
 
 Parity contract
 ---------------
-The peels converge to the same canonical node sets as their legacy
-twins, bit for bit:
+The peels converge to the same canonical node sets as the dict-based
+reference peels of :mod:`repro.reference.peels`, bit for bit:
 
 * the survival condition of every rule is monotone under node removal,
   and every condemnation is confirmed by a fresh, division-free DP over
   the currently-live neighbors, so each peel terminates at the unique
-  maximal fixpoint — independent of worklist order, seeding, or engine;
+  maximal fixpoint — independent of worklist order, seeding, or
+  implementation;
 * fresh DPs iterate incident rows in the graph's insertion order
   (filtered by liveness), multiplying the exact float sequences the
-  legacy code reads out of ``incident(u).values()``;
+  reference code reads out of ``incident(u).values()``;
 * every threshold test compares against ``threshold_floor(tau)``, the
   exact fast path of :func:`~repro.utils.validation.prob_at_least` /
   ``prob_below``.
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, insort
-from typing import AbstractSet, Any, Iterable, Literal
+from typing import AbstractSet, Any, Iterable
 
 from repro.core.tau_degree import STABLE_P_LIMIT
 from repro.uncertain.graph import Node, UncertainGraph
@@ -71,21 +72,12 @@ from repro.utils.validation import threshold_floor, validate_k, validate_tau
 
 __all__ = [
     "CompiledGraph",
-    "CompiledPruneGraph",
-    "PruneEngine",
     "node_sort_key",
     "compile_graph",
-    "compile_prune_graph",
     "survival_peel",
     "distribution_peel",
     "topk_peel",
 ]
-
-#: Engine selector of the pruning layer: ``"arrays"`` runs the compiled
-#: flat-CSR peels of this module, ``"legacy"`` the original dict-based
-#: peels.  Both converge to the same canonical node sets.
-PruneEngine = Literal["arrays", "legacy"]
-
 
 def node_sort_key(node: Node) -> tuple[str, str]:
     """Deterministic total order over arbitrary hashable nodes.
@@ -106,7 +98,7 @@ class CompiledGraph:
 
     * ``nbr_ids`` / ``nbr_probs`` — **incident order** (the graph's
       insertion order), which is what the fresh survival / distribution
-      DPs must multiply in to match the legacy float sequences;
+      DPs must multiply in to match the reference float sequences;
     * :meth:`desc_row` — the same row sorted by **descending
       probability**, ties by the neighbor's ``sort_rank``, computed
       **lazily on first use** and memoized per row.  Filtering a row to
@@ -122,7 +114,7 @@ class CompiledGraph:
       the (Top_k, tau)-core peel consumes (peels copy a row before
       mutating it — compiled state is only ever appended to by the
       lazy memos, never rewritten).  Equal floats are interchangeable,
-      so the value sequence matches the legacy sort exactly.
+      so the value sequence matches the reference sort exactly.
 
     ``sort_rank[i]`` is the position of node ``i`` in the library's
     deterministic :func:`node_sort_key` order over the whole graph.
@@ -447,12 +439,6 @@ class CompiledGraph:
         self._core_ids = None
 
 
-#: Backwards-compatible name from the PR 5 era, when the artifact served
-#: only the pruning stage.  Same class; the search kernel now derives
-#: its component views from it too.
-CompiledPruneGraph = CompiledGraph
-
-
 def compile_graph(graph: UncertainGraph) -> CompiledGraph:
     """Lower ``graph`` into the unified :class:`CompiledGraph` (one pass).
 
@@ -476,12 +462,8 @@ def compile_graph(graph: UncertainGraph) -> CompiledGraph:
                          graph.version)
 
 
-#: Backwards-compatible alias for :func:`compile_graph`.
-compile_prune_graph = compile_graph
-
-
 def _initial_dead(
-    cpg: CompiledPruneGraph, members: Iterable[Node] | None
+    cpg: CompiledGraph, members: Iterable[Node] | None
 ) -> bytearray:
     """Liveness seed: everything alive, or only ``members`` when given."""
     if members is None:
@@ -494,7 +476,7 @@ def _initial_dead(
 
 
 def _frontier_seeds(
-    cpg: CompiledPruneGraph,
+    cpg: CompiledGraph,
     frontier: Iterable[Node],
     dead: bytearray,
 ) -> list[int]:
@@ -516,7 +498,7 @@ def _frontier_seeds(
 
 
 def survival_peel(
-    cpg: CompiledPruneGraph,
+    cpg: CompiledGraph,
     k: int,
     tau: float,
     members: Iterable[Node] | None = None,
@@ -524,8 +506,8 @@ def survival_peel(
 ) -> set[Node]:
     """DPCore+ (Algorithm 2) over the compiled arrays.
 
-    Semantically identical to the legacy verified peel
-    (:func:`repro.core.ktau_core.dp_core_plus` with ``engine="legacy"``):
+    Semantically identical to the reference verified peel
+    (:func:`repro.reference.peels.dp_core_plus`):
     the deterministic-core prefilter, the Eq. (5) forward survival DP as
     the fresh (division-free) state builder, the Eq. (6) in-place
     deletion update with the ``STABLE_P_LIMIT`` rebuild fallback,
@@ -550,7 +532,7 @@ def survival_peel(
     condemn nodes without notifying their neighbors, which is only sound
     when every live node gets an initial DP.
 
-    Two flat-array specifics beyond the legacy code, neither of which
+    Two flat-array specifics beyond the reference code, neither of which
     can change the fixpoint:
 
     * per-node DP rows live in one preallocated float buffer with a
@@ -693,7 +675,7 @@ def survival_peel(
 
 
 def distribution_peel(
-    cpg: CompiledPruneGraph,
+    cpg: CompiledGraph,
     k: int,
     tau: float,
     members: Iterable[Node] | None = None,
@@ -701,8 +683,8 @@ def distribution_peel(
 ) -> set[Node]:
     """DPCore (the Bonchi et al. [16] baseline) over the compiled arrays.
 
-    Semantics of :func:`repro.core.ktau_core.dp_core` with
-    ``engine="legacy"``: per-node state is the ``Pr(d = i)`` prefix up
+    Semantics of :func:`repro.reference.peels.dp_core`: per-node
+    state is the ``Pr(d = i)`` prefix up
     to the current tau-degree, built lazily column by column (Eq. 3)
     and updated on deletion with Eq. (4), under the same
     verify-before-condemn + final-sweep discipline.  The two column
@@ -836,7 +818,7 @@ def distribution_peel(
 
 
 def topk_peel(
-    cpg: CompiledPruneGraph,
+    cpg: CompiledGraph,
     k: int,
     tau: float,
     members: Iterable[Node] | None = None,
@@ -847,7 +829,7 @@ def topk_peel(
 
     Each survival check multiplies the ``k`` highest live incident
     probabilities in ascending order — the exact float sequence of the
-    legacy ``math.prod(sorted(probs)[-k:])`` — against
+    reference ``math.prod(sorted(probs)[-k:])`` — against
     ``threshold_floor(tau)``.  The peel condition is monotone under node
     removal, so the surviving fixpoint is unique regardless of worklist
     order, and a ``fixed`` node (the paper's ``V_I``) is condemned under
@@ -856,7 +838,7 @@ def topk_peel(
 
     ``members`` restricts the peel to an induced subset (ascending rows
     are then re-gathered from live entries); ``fixed`` nodes absent from
-    the graph or the member set never abort, matching the legacy peel
+    the graph or the member set never abort, matching the reference peel
     over an induced subgraph that simply does not contain them.
 
     ``frontier`` requests a seeded re-peel (trusted-member contract of
@@ -893,7 +875,7 @@ def topk_peel(
                 is_fixed[i] = 1
 
     def below(values: list[float]) -> bool:
-        # pi_k as the legacy peel computes it: math.prod of the
+        # pi_k as the reference peel computes it: math.prod of the
         # ascending top-k slice multiplies left to right.
         nv = len(values)
         if nv < k:
@@ -981,7 +963,7 @@ def topk_peel(
             condemned[i] = 1
 
     # Phase 2 — ascending sorted *live* probabilities for the remnant
-    # (the exact state the legacy peel keeps), gathered before any
+    # (the exact state the reference peel keeps), gathered before any
     # further condemnation so the drain's bisect-pops stay consistent.
     vals: list[list[float]] = [[] for _ in range(n)]
     for i in range(n):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.core.enumeration import Engine
 from repro.core.session import PreparedGraph
 from repro.uncertain.graph import Node, UncertainGraph
 
@@ -35,7 +34,6 @@ def cliques_containing(
     node: Node,
     k: int,
     tau: float,
-    engine: Engine = "pivot",
     jobs: int | None = 1,
 ) -> Iterator[frozenset[Node]]:
     """Yield every maximal (k, tau)-clique of ``graph`` containing ``node``.
@@ -48,13 +46,12 @@ def cliques_containing(
     with the anchored (Top_k, tau)-core (Algorithm 3's ``V_I``), which
     aborts immediately when the node itself cannot survive.
 
-    ``engine`` selects the search core for the inner enumeration and
-    ``jobs`` its worker-process count, with the same contract as
-    :func:`repro.core.enumeration.maximal_cliques` (any combination
-    yields bit-identical cliques in identical order).
+    ``jobs`` sets the inner enumeration's worker-process count, with the
+    same contract as :func:`repro.core.enumeration.maximal_cliques` (any
+    value yields bit-identical cliques in identical order).
     """
     return PreparedGraph(graph).cliques_containing(
-        node, k, tau, engine=engine, jobs=jobs
+        node, k, tau, jobs=jobs
     )
 
 
@@ -62,19 +59,16 @@ def is_extendable(
     graph: UncertainGraph,
     nodes: Iterable[Node],
     tau: float,
-    engine: Engine = "pivot",
     jobs: int | None = 1,
 ) -> bool:
     """Whether some single node can extend ``nodes`` to a larger
     tau-clique (the complement of the maximality condition).
 
-    ``engine`` / ``jobs`` are accepted for query-API symmetry and
-    validated, but unused: this query is a neighborhood scan with no
-    search phase to configure.
+    ``jobs`` is accepted for query-API symmetry and validated, but
+    unused: this query is a neighborhood scan with no search phase to
+    configure.
     """
-    return PreparedGraph(graph).is_extendable(
-        nodes, tau, engine=engine, jobs=jobs
-    )
+    return PreparedGraph(graph).is_extendable(nodes, tau, jobs=jobs)
 
 
 def containing_clique_exists(
@@ -82,7 +76,6 @@ def containing_clique_exists(
     nodes: Iterable[Node],
     k: int,
     tau: float,
-    engine: Engine = "pivot",
     jobs: int | None = 1,
 ) -> bool:
     """Whether some maximal (k, tau)-clique contains all of ``nodes``.
@@ -90,9 +83,9 @@ def containing_clique_exists(
     Equivalent to: ``nodes`` is a tau-clique and can be grown (possibly
     by zero steps) to size above ``k`` while keeping ``CPr >= tau``.
     Decided by an anchored search on the common neighborhood, with
-    ``engine`` / ``jobs`` configuring that search exactly as on
+    ``jobs`` configuring that search exactly as on
     :func:`repro.core.enumeration.maximal_cliques`.
     """
     return PreparedGraph(graph).containing_clique_exists(
-        nodes, k, tau, engine=engine, jobs=jobs
+        nodes, k, tau, jobs=jobs
     )

@@ -11,12 +11,11 @@ UncertainGraph` and routes every query through the staged pipeline of
 :mod:`repro.core.pipeline`, memoizing each stage artifact in a bounded
 LRU under **two key scopes**:
 
-* whole-graph artifacts stay keyed by the monotone global version::
+* the whole-graph artifact stays keyed by the monotone global version::
 
       (graph.version, "compile")          # unified flat-CSR lowering
-      (graph.version, "core_numbers")
 
-  A mutation bumps the version, so these can never be looked up stale —
+  A mutation bumps the version, so it can never be looked up stale —
   but the compile entry is not always rebuilt from scratch: on a miss
   the session replays the graph's bounded mutation log into the newest
   superseded artifact via :meth:`~repro.core.prune_kernel.CompiledGraph.
@@ -50,7 +49,7 @@ What makes replaying artifacts sound:
 * survivor tuples are **order-normalized** to the graph's iteration
   order by the prune stage, and ``induced_subgraph`` preserves argument
   order, so a cached prune artifact reproduces the cold run's component
-  order exactly, whichever engine computed it;
+  order exactly, whichever seed it was peeled from;
 * **core monotonicity** is exploited across entries: for ``k >= k'`` and
   ``tau >= tau'`` every (k, tau)-core is contained in the (k', tau')-core
   (the membership condition only tightens), and by Corollary 1 the
@@ -76,7 +75,7 @@ from typing import AbstractSet, Any, Iterable, Iterator
 
 from repro.core import enumeration as _enumeration_mod
 from repro.core import pipeline
-from repro.core.enumeration import Engine, EnumerationStats, PruningRule
+from repro.core.enumeration import EnumerationStats, PruningRule
 from repro.core.maximum import MaximumSearchStats
 from repro.core.parallel import resolve_jobs
 from repro.core.topk_core import topk_core
@@ -301,8 +300,8 @@ class PreparedGraph:
     def _compiled_artifact(self, version: int, timings: Any = None) -> Any:
         """The unified whole-graph flat-CSR compile, cached per version.
 
-        Parameter-free: one lowering serves every compiled-engine peel of
-        every query at this version — including the monotone-seeded peels,
+        Parameter-free: one lowering serves every peel of every query at
+        this version — including the monotone-seeded peels,
         which replay over the same arrays via ``members=`` — *and* every
         search-view derivation (the per-component ``CompiledComponent``
         bundles are member-filtered from these rows, never recompiled).
@@ -354,65 +353,12 @@ class PreparedGraph:
         self._store(key, compiled)
         return compiled
 
-    def core_numbers(self) -> dict[Node, int]:
-        """Deterministic core numbers of the live graph, session-cached.
-
-        The decomposition depends only on the graph version — the peels
-        of ``tau_degree``/``ktau_core`` historically recomputed it per
-        call — so it is memoized under ``(version, "core_numbers")``,
-        derived from the unified compile's lazy CSR decomposition
-        whenever one exists (sharing work with any compiled peel that
-        already ran).  On a miss, a superseded entry is carried forward
-        for free when the mutation log shows only reweights in between:
-        core numbers depend on the deterministic structure alone.
-        """
-        version = self._graph.version
-        key = (version, "core_numbers")
-        cached = self._lookup(key)
-        if cached is not _MISSING:
-            return cached  # type: ignore[no-any-return]
-        prev_key: tuple[Any, ...] | None = None
-        for k2 in self._cache:
-            if (
-                len(k2) == 2
-                and k2[1] == "core_numbers"
-                and isinstance(k2[0], int)
-                and k2[0] < version
-                and (prev_key is None or k2[0] > prev_key[0])
-            ):
-                prev_key = k2
-        if prev_key is not None:
-            ops = self._graph.mutations_since(prev_key[0])
-            if ops is not None and all(
-                entry[1] == "set_probability" for entry in ops
-            ):
-                core = self._cache.pop(prev_key)
-                self._store(key, core)
-                return core  # type: ignore[no-any-return]
-        # Derive from the CSR compile only when one already exists (or a
-        # compiled-engine query will build it anyway); a legacy-only
-        # session shouldn't pay a full lowering for a decomposition the
-        # deterministic module computes directly.  A peek, not a lookup:
-        # the accounted lookup above already counted this resolution.
-        compiled = self._cache.get((version, "compile"), _MISSING)
-        if compiled is not _MISSING:
-            core = dict(zip(compiled.nodes, compiled.core_ids()))
-        else:
-            from repro.deterministic.core_decomposition import (
-                core_numbers as _core_numbers,
-            )
-
-            core = _core_numbers(self._graph)
-        self._store(key, core)
-        return core
-
     def _survivors(
         self,
         version: int,
         pruning: PruningRule,
         k: int,
         tau: float,
-        engine: Engine,
         artifact: Any = None,
     ) -> tuple[Node, ...]:
         """The prune-stage survivors, cached per component.
@@ -424,11 +370,9 @@ class PreparedGraph:
         only its own component's entries, and the next query re-peels
         only the dirty components — in **one** union peel over their
         members, not a peel per component — and assembles the rest from
-        cache hits.  The key deliberately omits ``engine``: both peel
-        implementations reach the same unique fixpoint set (pinned by
-        the kernel-parity suite).  ``artifact`` is the resolved unified
-        compile for the compiled engine (the caller resolves it so the
-        compile lap lands outside the prune lap).
+        cache hits.  ``artifact`` is the resolved unified compile (the
+        caller resolves it so the compile lap lands outside the prune
+        lap).
         """
         if pruning == "none":
             return tuple(self._graph.nodes())
@@ -456,38 +400,17 @@ class PreparedGraph:
                 else:
                     seeded = True
                     peel_members.extend(u for u in members if u in seed)
-            whole_graph = (
-                not seeded
-                and len(missing) == len(parts)
+            whole_graph = not seeded and len(missing) == len(parts)
+            # The peel replays over the shared version-keyed CSR compile;
+            # the member restriction rides on members= instead of
+            # building an induced subgraph.
+            if artifact is None:
+                artifact = self._compiled_artifact(version)
+            survivors = pipeline.prune_stage(
+                self._graph, k, tau, pruning,
+                compiled=artifact,
+                members=None if whole_graph else tuple(peel_members),
             )
-            if engine == "bitset":
-                # Compiled engine: the peel replays over the shared
-                # version-keyed CSR compile; the member restriction rides
-                # on members= instead of building an induced subgraph.
-                if artifact is None:
-                    artifact = self._compiled_artifact(version)
-                survivors = pipeline.prune_stage(
-                    self._graph, k, tau, pruning, engine,
-                    compiled=artifact,
-                    members=None if whole_graph else tuple(peel_members),
-                )
-            elif whole_graph:
-                # Unseeded full-graph legacy ktau peels reuse the
-                # memoized deterministic core decomposition for their
-                # Definition 6 prefilter.
-                core = self.core_numbers() if pruning == "ktau" else None
-                survivors = pipeline.prune_stage(
-                    self._graph, k, tau, pruning, engine, core=core
-                )
-            else:
-                # Peel only the dirty/seeded superset: induced_subgraph
-                # preserves argument order and prune_stage re-normalizes
-                # against the sub-order, and the peel fixpoint over a
-                # superset of the core equals the whole-graph fixpoint.
-                base = self._graph.induced_subgraph(peel_members)
-                survivors = pipeline.prune_stage(
-                    base, k, tau, pruning, engine
-                )
             surv_set = frozenset(survivors)
             alive.update(surv_set)
             for cid, epoch, members in missing:
@@ -545,7 +468,6 @@ class PreparedGraph:
         cut: bool,
         k: int,
         tau: float,
-        engine: Engine,
         timings: Any,
     ) -> tuple[
         pipeline.CutArtifact,
@@ -569,12 +491,10 @@ class PreparedGraph:
         lap keeps the ``"compile"`` and ``"prune"`` phases disjoint.
         """
         artifact = None
-        if engine == "bitset" and pruning != "none":
+        if pruning != "none":
             artifact = self._compiled_artifact(version, timings)
         with timings.lap("prune"):
-            survivors = self._survivors(
-                version, pruning, k, tau, engine, artifact
-            )
+            survivors = self._survivors(version, pruning, k, tau, artifact)
         surv_set = frozenset(survivors)
         components: list[UncertainGraph] = []
         parts: list[tuple[int, int, tuple[UncertainGraph, ...]]] = []
@@ -591,7 +511,7 @@ class PreparedGraph:
                     with timings.lap("cut"):
                         part_art = pipeline.cut_stage(
                             self._graph.induced_subgraph(comp_surv),
-                            k, tau, cut, len(comp_surv), engine=engine,
+                            k, tau, cut, len(comp_surv),
                         )
                     entry = (
                         part_art.components,
@@ -656,7 +576,6 @@ class PreparedGraph:
         cut: bool = True,
         insearch: bool = True,
         stats: EnumerationStats | None = None,
-        engine: Engine = "pivot",
         jobs: int | None = 1,
     ) -> Iterator[frozenset[Node]]:
         """Enumerate all maximal (k, tau)-cliques (session-cached).
@@ -671,21 +590,17 @@ class PreparedGraph:
         tau = validate_tau(tau)
         if pruning not in ("topk", "ktau", "none"):
             raise ValueError(f"unknown pruning rule {pruning!r}")
-        if engine not in ("pivot", "bitset", "legacy"):
-            raise ValueError(f"unknown engine {engine!r}")
         stats = stats if stats is not None else EnumerationStats()
         min_size = k + 1
         version = self._graph.version
+        n_jobs = resolve_jobs(jobs)
         # Read from the enumeration module at call time: tests monkeypatch
         # both the in-search gate and the kernel size limit there.
         insearch_min_candidates = _enumeration_mod._INSEARCH_MIN_CANDIDATES
         component_limit = _enumeration_mod.KERNEL_COMPONENT_LIMIT
 
-        # The prune/cut stages know two implementations; both compiled
-        # search engines share the "bitset" (arrays) peels and artifacts.
-        stage_engine = "legacy" if engine == "legacy" else "bitset"
         art, parts = self._cut_artifact(
-            version, pruning, cut, k, tau, stage_engine, stats.timings
+            version, pruning, cut, k, tau, stats.timings
         )
         stats.nodes_after_pruning = art.nodes_after_pruning
         stats.cuts_found = art.cuts_found
@@ -697,43 +612,37 @@ class PreparedGraph:
         # prob_at_least per edge.
         tau_floor = threshold_floor(tau)
 
-        compiled: tuple[Any, ...] | None = None
-        n_jobs = 1
-        if engine != "legacy":
-            n_jobs = resolve_jobs(jobs)
-            # The search views are *derived* from the whole-graph compile
-            # (member-filtered rows, no recompilation), so the expensive
-            # lowering stays one-per-version while the cheap view bundles
-            # are cached per graph component: view compilation is
-            # element-wise over search components, and each search
-            # component lives inside exactly one graph component, so a
-            # mutation leaves every other component's views warm.
-            views: list[Any] = []
-            artifact: Any = None
-            for cid, epoch, comp_components in parts:
-                vkey = (
-                    "c", cid, epoch, "views",
-                    pruning, cut, k, tau, component_limit,
-                )
-                part_views = self._lookup(vkey)
-                if part_views is _MISSING:
-                    if artifact is None:
-                        artifact = self._compiled_artifact(
-                            version, stats.timings
-                        )
-                    with stats.timings.lap("compile"):
-                        part_views = pipeline.compile_enumeration_stage(
-                            comp_components, min_size, component_limit,
-                            artifact,
-                        )
-                    self._store(vkey, part_views)
-                views.extend(part_views)
-            compiled = tuple(views)
+        # The search views are *derived* from the whole-graph compile
+        # (member-filtered rows, no recompilation), so the expensive
+        # lowering stays one-per-version while the cheap view bundles are
+        # cached per graph component: view compilation is element-wise
+        # over search components, and each search component lives inside
+        # exactly one graph component, so a mutation leaves every other
+        # component's views warm.
+        views: list[Any] = []
+        artifact: Any = None
+        for cid, epoch, comp_components in parts:
+            vkey = (
+                "c", cid, epoch, "views",
+                pruning, cut, k, tau, component_limit,
+            )
+            part_views = self._lookup(vkey)
+            if part_views is _MISSING:
+                if artifact is None:
+                    artifact = self._compiled_artifact(
+                        version, stats.timings
+                    )
+                with stats.timings.lap("compile"):
+                    part_views = pipeline.compile_enumeration_stage(
+                        comp_components, min_size, component_limit,
+                        artifact,
+                    )
+                self._store(vkey, part_views)
+            views.extend(part_views)
 
         yield from pipeline.enumeration_search_stage(
-            art.components, compiled, k, tau_floor, min_size, insearch,
-            insearch_min_candidates, engine, n_jobs, component_limit,
-            stats,
+            art.components, tuple(views), k, tau_floor, min_size, insearch,
+            insearch_min_candidates, n_jobs, component_limit, stats,
         )
 
     # ------------------------------------------------------------------
@@ -748,7 +657,6 @@ class PreparedGraph:
         use_advanced_one: bool = True,
         use_advanced_two: bool = True,
         insearch: bool = True,
-        engine: Engine = "pivot",
         jobs: int | None = 1,
     ) -> frozenset[Node] | None:
         """Maximum (k, tau)-clique via MaxUC+ (session-cached).
@@ -770,16 +678,14 @@ class PreparedGraph:
         """
         validate_k(k)
         tau = validate_tau(tau)
-        if engine not in ("pivot", "bitset", "legacy"):
-            raise ValueError(f"unknown engine {engine!r}")
         stats = stats if stats is not None else MaximumSearchStats()
         min_size = k + 1
         tau_floor = threshold_floor(tau)
         version = self._graph.version
+        n_jobs = resolve_jobs(jobs)
 
-        stage_engine = "legacy" if engine == "legacy" else "bitset"
         art, parts = self._cut_artifact(
-            version, "topk", True, k, tau, stage_engine, stats.timings
+            version, "topk", True, k, tau, stats.timings
         )
 
         # The on-demand memo dicts the search stage fills are cached per
@@ -788,13 +694,12 @@ class PreparedGraph:
         # (what maximum_search_stage indexes by), and any entries the
         # search filled are written back to the per-component dicts
         # afterwards — so a mutation in one component keeps every other
-        # component's compiled/color entries warm.
-        memo_stage = "colors_max" if engine == "legacy" else "compile_max"
+        # component's compiled entries warm.
         part_memos: list[tuple[int, dict[int, Any]]] = []
         merged: dict[int, Any] = {}
         offset = 0
         for cid, epoch, comp_components in parts:
-            mkey = ("c", cid, epoch, memo_stage, k, tau)
+            mkey = ("c", cid, epoch, "compile_max", k, tau)
             local = self._lookup(mkey)
             if local is _MISSING:
                 local = {}
@@ -804,21 +709,11 @@ class PreparedGraph:
             part_memos.append((offset, local))
             offset += len(comp_components)
 
-        compiled: dict[int, Any] | None = None
-        colors: dict[int, Any] | None = None
-        artifact: Any = None
-        n_jobs = 1
-        if engine != "legacy":
-            n_jobs = resolve_jobs(jobs)
-            artifact = self._compiled_artifact(version, stats.timings)
-            compiled = merged
-        else:
-            colors = merged
-
+        artifact = self._compiled_artifact(version, stats.timings)
         best, best_size = pipeline.maximum_search_stage(
-            art.components, compiled, colors, k, tau, tau_floor, min_size,
-            use_advanced_one, use_advanced_two, insearch, engine, n_jobs,
-            stats, artifact=artifact,
+            art.components, merged, k, tau_floor, min_size,
+            use_advanced_one, use_advanced_two, insearch, n_jobs, stats,
+            artifact,
         )
         for (off, local), (_, _, comp_components) in zip(part_memos, parts):
             for loc in range(len(comp_components)):
@@ -873,7 +768,6 @@ class PreparedGraph:
         node: Node,
         k: int,
         tau: float,
-        engine: Engine = "pivot",
         jobs: int | None = 1,
     ) -> Iterator[frozenset[Node]]:
         """Yield every maximal (k, tau)-clique containing ``node``.
@@ -882,8 +776,8 @@ class PreparedGraph:
         cliques_containing`: the anchored neighborhood core is cached as
         a child session, so a repeated query skips the neighborhood
         build and the anchored peel and reuses the child's compiled
-        components.  ``engine`` / ``jobs`` configure the inner
-        enumeration exactly as on :meth:`maximal_cliques`.
+        components.  ``jobs`` configures the inner enumeration exactly as
+        on :meth:`maximal_cliques`.
         """
         validate_k(k)
         tau = validate_tau(tau)
@@ -902,7 +796,7 @@ class PreparedGraph:
         if child is None:
             return
         for clique in child.maximal_cliques(
-            k, tau, pruning="none", engine=engine, jobs=jobs
+            k, tau, pruning="none", jobs=jobs
         ):
             if node in clique:
                 yield clique
@@ -911,19 +805,16 @@ class PreparedGraph:
         self,
         nodes: Iterable[Node],
         tau: float,
-        engine: Engine = "pivot",
         jobs: int | None = 1,
     ) -> bool:
         """Whether some single node can extend ``nodes`` to a larger
         tau-clique (the complement of the maximality condition).
 
-        ``engine`` / ``jobs`` are accepted for query-API symmetry and
-        validated, but unused: this query is a neighborhood scan with no
-        search phase to configure.
+        ``jobs`` is accepted for query-API symmetry and validated, but
+        unused: this query is a neighborhood scan with no search phase to
+        configure.
         """
         tau = validate_tau(tau)
-        if engine not in ("pivot", "bitset", "legacy"):
-            raise ValueError(f"unknown engine {engine!r}")
         resolve_jobs(jobs)
         members = list(dict.fromkeys(nodes))
         if not members:
@@ -952,7 +843,6 @@ class PreparedGraph:
         nodes: Iterable[Node],
         k: int,
         tau: float,
-        engine: Engine = "pivot",
         jobs: int | None = 1,
     ) -> bool:
         """Whether some maximal (k, tau)-clique contains all of ``nodes``.
@@ -994,7 +884,7 @@ class PreparedGraph:
         if child is None:
             return False
         for clique in child.maximal_cliques(
-            k, tau, pruning="none", engine=engine, jobs=jobs
+            k, tau, pruning="none", jobs=jobs
         ):
             if member_set <= clique:
                 return True

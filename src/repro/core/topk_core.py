@@ -15,20 +15,13 @@ search branch is dead and the peeling aborts early.
 
 from __future__ import annotations
 
-import bisect
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, AbstractSet, Iterable
+from typing import TYPE_CHECKING, AbstractSet
 
-from repro.core.prune_kernel import (
-    CompiledPruneGraph,
-    PruneEngine,
-    compile_prune_graph,
-    topk_peel,
-)
+from repro.core.prune_kernel import CompiledGraph, compile_graph, topk_peel
 from repro.uncertain.graph import Node, UncertainGraph
-from repro.utils.validation import prob_below, validate_k, validate_tau
+from repro.utils.validation import validate_k
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (kernel imports us)
     from repro.core.kernel import CompiledComponent
@@ -37,7 +30,6 @@ __all__ = [
     "top_k_product_probability",
     "topk_core",
     "TopKCoreResult",
-    "topk_core_arrays",
     "topk_peel_masks",
 ]
 
@@ -78,9 +70,8 @@ def topk_core(
     graph: UncertainGraph,
     k: int,
     tau: float,
-    fixed: AbstractSet = frozenset(),
-    engine: PruneEngine = "arrays",
-    compiled: CompiledPruneGraph | None = None,
+    fixed: AbstractSet[Node] = frozenset(),
+    compiled: CompiledGraph | None = None,
 ) -> TopKCoreResult:
     """Algorithm 3: compute the (Top_k, tau)-core of ``graph``.
 
@@ -88,105 +79,17 @@ def topk_core(
     it, peeling aborts immediately with ``contains_fixed = False``.  The
     input graph is not modified.
 
-    Runs in ``O(m log d_max)``: per-node incident probabilities are sorted
-    once; each edge deletion removes one value from a sorted list and
-    re-multiplies a k-prefix.
-
-    ``engine="arrays"`` (the default) runs the peel over a flat compiled
-    form of the graph (:func:`repro.core.prune_kernel.topk_peel`);
-    ``compiled`` supplies a prebuilt :class:`CompiledPruneGraph` (the
-    session layer's shared artifact).  Both engines converge to the same
-    canonical core.
-    """
-    if engine == "arrays":
-        if compiled is None:
-            compiled = compile_prune_graph(graph)
-        survivors = topk_peel(compiled, k, tau, fixed=fixed)
-        if survivors is None:
-            return TopKCoreResult(frozenset(), False)
-        return TopKCoreResult(survivors, True)
-    validate_k(k)
-    tau = validate_tau(tau)
-
-    # Ascending sorted incident probabilities per node; the top-k product
-    # is the product of the last k entries.
-    probs: dict[Node, list[float]] = {
-        u: sorted(graph.incident(u).values()) for u in graph
-    }
-
-    def pi_k(u: Node) -> float:
-        values = probs[u]
-        if len(values) < k:
-            return 0.0
-        if k == 0:
-            return 1.0
-        return math.prod(values[-k:])
-
-    # incident() keys = neighbors, minus the guarded-iterator overhead;
-    # this peel reads the caller's graph and never mutates it.
-    alive: dict[Node, set[Node]] = {
-        u: set(graph.incident(u)) for u in graph
-    }
-    queue: deque[Node] = deque()
-    queued: set[Node] = set()
-    for u in graph:
-        if prob_below(pi_k(u), tau):
-            if u in fixed:
-                return TopKCoreResult(frozenset(), False)
-            queue.append(u)
-            queued.add(u)
-
-    removed: set[Node] = set()
-    while queue:
-        u = queue.popleft()
-        removed.add(u)
-        for v in alive[u]:
-            alive[v].discard(u)
-            if v in queued:
-                continue
-            p = graph.probability(u, v)
-            values = probs[v]
-            idx = bisect.bisect_left(values, p)
-            values.pop(idx)
-            if prob_below(pi_k(v), tau):
-                if v in fixed:
-                    return TopKCoreResult(frozenset(), False)
-                queue.append(v)
-                queued.add(v)
-        alive[u] = set()
-
-    survivors = frozenset(u for u in graph if u not in removed)
-    return TopKCoreResult(survivors, True)
-
-
-def topk_core_arrays(
-    graph: UncertainGraph,
-    k: int,
-    tau: float,
-    compiled: CompiledPruneGraph | None = None,
-    members: Iterable[Node] | None = None,
-) -> frozenset[Node]:
-    """Algorithm 3's peel over a compiled whole-graph array form.
-
-    Array-based fast path for the *pre-search* pruning stage of MUCE++ /
-    MaxUC+ (the compiled-engine twin of :func:`topk_core` without the
-    ``fixed`` machinery — the pre-search call has no clique yet).  Since
-    the prune kernel landed this is a thin delegate to
-    :func:`repro.core.prune_kernel.topk_peel`: ``compiled`` supplies a
-    prebuilt :class:`CompiledPruneGraph` (the session layer's shared
-    artifact) and ``members`` restricts the peel to a node subset without
-    building an induced subgraph.  Kept as a named entry point because
-    the pipeline's stage router and its tests patch it by name.
-
-    Parity with :func:`topk_core`: the peel condition is monotone under
-    node removal, so the surviving fixpoint is unique regardless of peel
-    order.  Returns the surviving node set.
+    The peel runs over the flat compiled form of the graph
+    (:func:`repro.core.prune_kernel.topk_peel`) in ``O(m log d_max)``;
+    ``compiled`` supplies a prebuilt :class:`CompiledGraph` (the session
+    layer's shared artifact).
     """
     if compiled is None:
-        compiled = compile_prune_graph(graph)
-    survivors = topk_peel(compiled, k, tau, members=members)
-    assert survivors is not None  # no fixed set -> never aborts
-    return survivors
+        compiled = compile_graph(graph)
+    survivors = topk_peel(compiled, k, tau, fixed=fixed)
+    if survivors is None:
+        return TopKCoreResult(frozenset(), False)
+    return TopKCoreResult(survivors, True)
 
 
 def topk_peel_masks(
@@ -205,7 +108,7 @@ def topk_peel_masks(
     mask, or ``None`` as soon as a fixed node is condemned (the branch is
     dead either way, so no work is wasted finishing the peel).
 
-    Parity with :func:`topk_core` / the legacy ``_insearch_topk_prune``:
+    Parity with :func:`topk_core` / the dict ``_insearch_topk_prune``:
     the peel condition is monotone under node removal, so the surviving
     fixpoint is unique regardless of peel order, and a fixed node is
     condemned under *some* order iff it is outside that fixpoint — hence
@@ -229,7 +132,7 @@ def topk_peel_masks(
         # Top-k product over surviving neighbors: the CSR row is sorted by
         # descending probability, so the first k live entries are the top
         # k; they are multiplied back-to-front (ascending) to reproduce
-        # the legacy float sequence exactly.
+        # the reference float sequence exactly.
         top: list[float] = []
         for i in range(row_offsets[u], row_offsets[u + 1]):
             if alive >> nbr_ids[i] & 1:

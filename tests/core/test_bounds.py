@@ -8,7 +8,7 @@ from repro.core.bounds import (
     advanced_color_bound_two,
     basic_color_bound,
 )
-from repro.core.bruteforce import brute_force_maximal_cliques
+from repro.reference.bruteforce import brute_force_maximal_cliques
 from repro.deterministic.coloring import greedy_coloring
 from tests.conftest import make_random_graph
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import UncertainGraph
-from repro.core.bruteforce import (
+from repro.reference.bruteforce import (
     brute_force_maximal_cliques,
     brute_force_maximum_clique,
     brute_force_tau_degree,

@@ -8,8 +8,8 @@ via :func:`~repro.core.kernel.derive_component_view` instead of
 recompiling each component from its subgraph.  This suite pins the
 contracts that make that sound:
 
-* the derived view is **bit-identical** to ``compile_component`` on the
-  induced subgraph — same nodes, ids, CSR rows and float values — for
+* the derived view is **bit-identical** to the reference
+  ``compile_component`` on the induced subgraph — same nodes, ids, CSR rows and float values — for
   arbitrary member subsets (pruning removes nodes only, so any
   survivor set is an induced-subgraph restriction);
 * a session performs exactly **one** compile per graph version across
@@ -27,13 +27,10 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from repro import PreparedGraph, UncertainGraph
-from repro.core.kernel import (
-    CompiledComponent,
-    compile_component,
-    derive_component_view,
-)
+from repro.core.kernel import CompiledComponent, derive_component_view
 from repro.core.prune_kernel import CompiledGraph, compile_graph
 from repro.deterministic.components import connected_components
+from repro.reference import compile_component
 
 PROBABILITY_PALETTE = (0.25, 0.4, 0.4, 0.5, 0.7, 0.7, 0.9, 1.0)
 

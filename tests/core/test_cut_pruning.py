@@ -3,7 +3,7 @@
 import pytest
 
 from repro import UncertainGraph, cut_optimize
-from repro.core.bruteforce import brute_force_maximal_cliques
+from repro.reference.bruteforce import brute_force_maximal_cliques
 from repro.core.cut_pruning import cut_probability, is_low_probability_cut
 from repro.errors import ParameterError
 from tests.conftest import make_clique, make_random_graph

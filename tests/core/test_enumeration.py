@@ -4,6 +4,7 @@ import pytest
 
 from repro import (
     EnumerationStats,
+    PreparedGraph,
     UncertainGraph,
     clique_probability,
     is_maximal_k_tau_clique,
@@ -12,7 +13,7 @@ from repro import (
     muce_plus,
     muce_plus_plus,
 )
-from repro.core.bruteforce import brute_force_maximal_cliques
+from repro.reference.bruteforce import brute_force_maximal_cliques
 from repro.deterministic.cliques import bron_kerbosch
 from repro.errors import ParameterError
 from repro.utils.validation import prob_at_least
@@ -169,26 +170,25 @@ class TestConfigurations:
         assert isinstance(first, frozenset)
         gen.close()
 
-    def test_nothing_runs_before_first_next(self, monkeypatch):
+    def test_nothing_runs_before_first_next(self):
         # Full laziness regression: neither validation nor the pruning
         # pipeline may execute at call time.  Invalid arguments must not
-        # raise until the generator is started, and the pre-search core
-        # computation must not be reached at all before then.
-        import repro.core.enumeration as enumeration
-
+        # raise until the generator is started, and no stage may touch
+        # the session cache or record a phase lap before then.
         g = make_random_graph(8, 0.5, seed=3)
         gen = maximal_cliques(g, -1, 0.5)  # invalid k: no raise yet
         with pytest.raises(ValueError):
             next(gen)
 
-        def boom(*args, **kwargs):
-            raise AssertionError("pruning ran before first next()")
-
-        monkeypatch.setattr(enumeration, "topk_core_arrays", boom)
-        monkeypatch.setattr(enumeration, "topk_core", boom)
-        gen = maximal_cliques(g, 2, 0.3)  # pruning not triggered here
-        with pytest.raises(AssertionError, match="pruning ran"):
-            next(gen)  # ... only here
+        session = PreparedGraph(g)
+        before = session.cache_info()
+        stats = EnumerationStats()
+        gen = session.maximal_cliques(2, 0.3, stats=stats)
+        assert session.cache_info() == before
+        assert stats.timings.laps == {}
+        next(gen, None)  # ... the stages run only here
+        assert session.cache_info()["misses"] > before["misses"]
+        assert "prune" in stats.timings.laps
 
 
 class TestInSearchPeel:

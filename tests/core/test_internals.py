@@ -152,7 +152,7 @@ class TestSweepSplit:
 
 
 class TestInsearchPruneDuplicateProbabilities:
-    """Pin the bisect-removal invariant of the legacy in-search peel.
+    """Pin the bisect-removal invariant of the dict in-search peel.
 
     When a peeled neighbor's probability is duplicated in a node's sorted
     incident-value list, ``_insearch_topk_prune`` removes *some* equal
@@ -190,8 +190,8 @@ class TestInsearchPruneDuplicateProbabilities:
         assert kept == {"t1", "t2", "t3", "b", "v"}
 
     def test_fixpoint_matches_compiled_peel(self):
-        from repro.core.kernel import compile_component
         from repro.core.topk_core import topk_peel_masks
+        from repro.reference import compile_component
         from repro.utils.validation import threshold_floor
 
         graph = self._duplicate_graph()

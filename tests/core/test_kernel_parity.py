@@ -1,16 +1,22 @@
-"""Property-based parity: engine="bitset" must be indistinguishable from
-engine="legacy".
+"""Property-based parity: the production search vs the reference oracle.
 
-The compiled kernel (:mod:`repro.core.kernel`) promises *bit-identical*
-behavior, not just equal answers: the same cliques in the same yield
-order, the same statistics counters, and the same maximum cliques.  These
-properties hold because every float that influences a decision is
-produced by the same multiplication sequence in both engines — so the
-tests compare exact equality, never approximate.
+Every query runs one production path: compiled peels, the absorbing
+pivot kernel on every component up to ``KERNEL_COMPONENT_LIMIT`` (the
+dict recursion ``_muc`` above it), and the compiled MaxUC+.  These
+properties check it against :mod:`repro.reference` — the dict-based
+peels and the ``_muc`` recursion on every component:
+
+* enumeration yields the reference's clique *set*, each clique exactly
+  once, with the same pre-search counters — also when the kernel limit
+  is forced below the component sizes, so the fallback runs;
+* the maximum search returns a valid (k, tau)-clique of the reference's
+  size, and never pivots;
+* the one-shot and session maximum searches return the identical
+  clique with identical counters.
 
 The generated graphs deliberately stress the known hazards:
 
-* duplicate edge probabilities (the legacy in-search peel removes sorted
+* duplicate edge probabilities (the dict in-search peel removes sorted
   values by bisect; the kernel indexes by node id — interchangeable only
   because equal floats multiply identically);
 * non-integer node labels mixed with integers (the deterministic node
@@ -23,15 +29,19 @@ The generated graphs deliberately stress the known hazards:
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import asdict
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.enumeration as enumeration_mod
-from repro import UncertainGraph
+from repro import UncertainGraph, is_k_tau_clique
 from repro.core.enumeration import EnumerationStats, maximal_cliques
 from repro.core.maximum import MaximumSearchStats, max_uc_plus
+from repro.core.session import PreparedGraph
+from repro import reference
 
 # A small palette forces many duplicate probabilities in one graph.
 PROBABILITY_PALETTE = (0.25, 0.4, 0.4, 0.5, 0.7, 0.7, 0.9, 1.0)
@@ -58,6 +68,35 @@ def uncertain_graphs(draw: st.DrawFn) -> UncertainGraph:
     return graph
 
 
+@contextmanager
+def patched(name: str, value: int) -> Iterator[None]:
+    """Set an enumeration-module knob for the duration of the block."""
+    original = getattr(enumeration_mod, name)
+    setattr(enumeration_mod, name, value)
+    try:
+        yield
+    finally:
+        setattr(enumeration_mod, name, original)
+
+
+PRE_SEARCH = (
+    "nodes_after_pruning", "components", "cuts_found", "cut_edges_removed",
+)
+
+
+def assert_same_cliques(
+    found: list[frozenset[object]],
+    stats: EnumerationStats,
+    expected: list[frozenset[object]],
+    expected_stats: EnumerationStats,
+) -> None:
+    assert len(found) == len(set(found))  # no duplicate emissions
+    assert set(found) == set(expected)
+    assert stats.cliques == expected_stats.cliques == len(expected)
+    for field in PRE_SEARCH:
+        assert getattr(stats, field) == getattr(expected_stats, field)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     graph=uncertain_graphs(),
@@ -69,20 +108,16 @@ def uncertain_graphs(draw: st.DrawFn) -> UncertainGraph:
 def test_enumeration_engines_identical(
     graph: UncertainGraph, k: int, tau: float, insearch: bool, cut: bool
 ) -> None:
-    stats = {}
-    cliques = {}
-    for engine in ("legacy", "bitset"):
-        engine_stats = EnumerationStats()
-        cliques[engine] = list(
-            maximal_cliques(
-                graph, k, tau, cut=cut, insearch=insearch,
-                stats=engine_stats, engine=engine,  # type: ignore[arg-type]
-            )
-        )
-        stats[engine] = asdict(engine_stats)
-    # Same cliques in the same order, and the same counters.
-    assert cliques["bitset"] == cliques["legacy"]
-    assert stats["bitset"] == stats["legacy"]
+    stats = EnumerationStats()
+    found = list(
+        maximal_cliques(graph, k, tau, cut=cut, insearch=insearch, stats=stats)
+    )
+    assert stats.fallback_components == 0
+    oracle_stats = EnumerationStats()
+    oracle = reference.maximal_cliques(
+        graph, k, tau, cut=cut, insearch=insearch, stats=oracle_stats
+    )
+    assert_same_cliques(found, stats, oracle, oracle_stats)
 
 
 @settings(max_examples=40, deadline=None)
@@ -95,26 +130,14 @@ def test_enumeration_identical_with_forced_insearch_gate(
     graph: UncertainGraph, k: int, tau: float
 ) -> None:
     # Gate at zero: the in-search peel runs at every search call, so the
-    # kernel's mask peel and legacy's sorted-list peel are compared on
-    # every recursion level, duplicates included.
-    original = enumeration_mod._INSEARCH_MIN_CANDIDATES
-    enumeration_mod._INSEARCH_MIN_CANDIDATES = 0
-    try:
-        results = {}
-        stats = {}
-        for engine in ("legacy", "bitset"):
-            engine_stats = EnumerationStats()
-            results[engine] = list(
-                maximal_cliques(
-                    graph, k, tau, stats=engine_stats,
-                    engine=engine,  # type: ignore[arg-type]
-                )
-            )
-            stats[engine] = asdict(engine_stats)
-    finally:
-        enumeration_mod._INSEARCH_MIN_CANDIDATES = original
-    assert results["bitset"] == results["legacy"]
-    assert stats["bitset"] == stats["legacy"]
+    # kernel's mask peel and the reference's sorted-list peel are
+    # compared on every recursion level, duplicates included.
+    with patched("_INSEARCH_MIN_CANDIDATES", 0):
+        stats = EnumerationStats()
+        found = list(maximal_cliques(graph, k, tau, stats=stats))
+        oracle_stats = EnumerationStats()
+        oracle = reference.maximal_cliques(graph, k, tau, stats=oracle_stats)
+    assert_same_cliques(found, stats, oracle, oracle_stats)
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,63 +150,63 @@ def test_enumeration_identical_with_forced_insearch_gate(
 def test_maximum_engines_identical(
     graph: UncertainGraph, k: int, tau: float, insearch: bool
 ) -> None:
-    results = {}
-    stats = {}
-    for engine in ("legacy", "bitset"):
-        engine_stats = MaximumSearchStats()
-        results[engine] = max_uc_plus(
-            graph, k, tau, stats=engine_stats, insearch=insearch,
-            engine=engine,  # type: ignore[arg-type]
-        )
-        stats[engine] = asdict(engine_stats)
-    assert results["bitset"] == results["legacy"]
-    assert stats["bitset"] == stats["legacy"]
+    stats = MaximumSearchStats()
+    best = max_uc_plus(graph, k, tau, stats=stats, insearch=insearch)
+    oracle = reference.max_uc_plus(graph, k, tau, insearch=insearch)
+    if oracle is None:
+        assert best is None
+    else:
+        assert best is not None and len(best) == len(oracle)
+        assert is_k_tau_clique(graph, best, k, tau)
+    # The branch-and-bound's DFS-first answer depends on branch order,
+    # so the maximum search never pivots.
+    assert stats.pivot_branches == 0
+    assert stats.pivot_skipped == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    graph=uncertain_graphs(),
+    k=st.integers(min_value=0, max_value=4),
+    tau=st.sampled_from(TAUS),
+)
+def test_maximum_pivot_is_exactly_bitset(
+    graph: UncertainGraph, k: int, tau: float
+) -> None:
+    # The branch-and-bound's DFS-first output depends on branch order,
+    # so every maximum query runs the exact non-pivoting bitset search:
+    # the one-shot call and a session's cold and warm calls return the
+    # identical clique with identical counters, pivot counters pinned
+    # to zero.
+    stats = MaximumSearchStats()
+    best = max_uc_plus(graph, k, tau, stats=stats)
+    session = PreparedGraph(graph)
+    for _ in ("cold", "warm"):
+        session_stats = MaximumSearchStats()
+        assert session.max_uc_plus(k, tau, stats=session_stats) == best
+        assert asdict(session_stats) == asdict(stats)
+    assert stats.pivot_branches == 0
+    assert stats.pivot_skipped == 0
 
 
 def test_oversized_component_routes_to_legacy_fallback() -> None:
-    # The dispatch must route components above KERNEL_COMPONENT_LIMIT to
-    # the legacy recursion — and produce identical cliques and counters
-    # either way.  The limit is monkeypatched below the component size
-    # (mirroring the forced-gate pattern above) and the compiled entry
-    # point is replaced with a tripwire, so the test fails loudly if the
-    # dispatch ever stops falling back.
+    # With the kernel limit below the component size, the K6 must run
+    # the _muc fallback — counted in fallback_components — and still
+    # yield the reference's cliques.
     graph = UncertainGraph()
     for u, v in itertools.combinations(range(6), 2):
         graph.add_edge(u, v, 0.9)
+    oracle = set(reference.maximal_cliques(graph, 2, 0.3))
+    assert oracle  # a K6 at tau=0.3 must produce output
 
-    # The bit-identity contract is between the order-identical engines;
-    # the pivot engine reorders emission, so its fallback parity is on
-    # the clique *set* (checked below).
-    baseline_stats = EnumerationStats()
-    baseline = list(
-        maximal_cliques(graph, 2, 0.3, stats=baseline_stats, engine="bitset")
-    )
-    assert baseline  # a K6 at tau=0.3 must produce output
-    pivot_baseline = set(maximal_cliques(graph, 2, 0.3, engine="pivot"))
-
-    def tripwire(*args: object, **kwargs: object) -> object:
-        raise AssertionError(
-            "compiled kernel called for an oversized component"
-        )
-
-    original_limit = enumeration_mod.KERNEL_COMPONENT_LIMIT
-    original_entry = enumeration_mod.enumerate_component
-    enumeration_mod.KERNEL_COMPONENT_LIMIT = 3
-    enumeration_mod.enumerate_component = tripwire  # type: ignore[assignment]
-    try:
+    compiled_stats = EnumerationStats()
+    compiled = set(maximal_cliques(graph, 2, 0.3, stats=compiled_stats))
+    with patched("KERNEL_COMPONENT_LIMIT", 3):
         fallback_stats = EnumerationStats()
-        fallback = list(
-            maximal_cliques(
-                graph, 2, 0.3, stats=fallback_stats, engine="bitset"
-            )
-        )
-        pivot_fallback = set(maximal_cliques(graph, 2, 0.3, engine="pivot"))
-    finally:
-        enumeration_mod.KERNEL_COMPONENT_LIMIT = original_limit
-        enumeration_mod.enumerate_component = original_entry
-    assert fallback == baseline
-    assert asdict(fallback_stats) == asdict(baseline_stats)
-    assert pivot_fallback == pivot_baseline == set(baseline)
+        fallback = set(maximal_cliques(graph, 2, 0.3, stats=fallback_stats))
+    assert compiled_stats.fallback_components == 0
+    assert fallback_stats.fallback_components == 1
+    assert compiled == fallback == oracle
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,33 +220,22 @@ def test_oversized_component_routes_to_legacy_fallback() -> None:
 def test_pivot_engine_set_identical(
     graph: UncertainGraph, k: int, tau: float, insearch: bool, cut: bool
 ) -> None:
-    # Pivoting reorders emission, so the contract is set identity: the
-    # same cliques (each emitted exactly once) with the same clique
-    # count, plus identical pre-search counters — only the recursion
-    # shape (search_calls, prunes) may differ, and the pivot tree is
-    # never larger in branches than the candidate fan-out it replaced.
-    oracle_stats = EnumerationStats()
-    oracle = list(
-        maximal_cliques(
-            graph, k, tau, cut=cut, insearch=insearch,
-            stats=oracle_stats, engine="bitset",
-        )
+    # The pivot kernel against the forced fallback: with the limit at
+    # zero every component runs _muc inside the production pipeline.
+    stats = EnumerationStats()
+    found = list(
+        maximal_cliques(graph, k, tau, cut=cut, insearch=insearch, stats=stats)
     )
-    pivot_stats = EnumerationStats()
-    pivot = list(
-        maximal_cliques(
-            graph, k, tau, cut=cut, insearch=insearch,
-            stats=pivot_stats, engine="pivot",
+    with patched("KERNEL_COMPONENT_LIMIT", 0):
+        fallback_stats = EnumerationStats()
+        fallback = list(
+            maximal_cliques(
+                graph, k, tau, cut=cut, insearch=insearch,
+                stats=fallback_stats,
+            )
         )
-    )
-    assert len(pivot) == len(set(pivot))  # no duplicate emissions
-    assert set(pivot) == set(oracle)
-    assert pivot_stats.cliques == oracle_stats.cliques == len(oracle)
-    for field in (
-        "nodes_after_pruning", "components", "cuts_found",
-        "cut_edges_removed",
-    ):
-        assert getattr(pivot_stats, field) == getattr(oracle_stats, field)
+    assert_same_cliques(found, stats, fallback, fallback_stats)
+    assert fallback_stats.pivot_branches == fallback_stats.pivot_skipped == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -238,45 +250,18 @@ def test_pivot_set_identical_with_forced_insearch_gate(
     # Gate at zero: the in-search peel runs at every pivot recursion
     # node, so the leaf-first ordering (leaves must emit before the
     # gate can peel an empty candidate set) is exercised everywhere.
-    original = enumeration_mod._INSEARCH_MIN_CANDIDATES
-    enumeration_mod._INSEARCH_MIN_CANDIDATES = 0
-    try:
-        oracle = set(maximal_cliques(graph, k, tau, engine="bitset"))
-        pivot = list(maximal_cliques(graph, k, tau, engine="pivot"))
-    finally:
-        enumeration_mod._INSEARCH_MIN_CANDIDATES = original
-    assert len(pivot) == len(set(pivot))
-    assert set(pivot) == oracle
+    with patched("_INSEARCH_MIN_CANDIDATES", 0):
+        stats = EnumerationStats()
+        found = list(maximal_cliques(graph, k, tau, stats=stats))
+        with patched("KERNEL_COMPONENT_LIMIT", 0):
+            fallback_stats = EnumerationStats()
+            fallback = list(maximal_cliques(graph, k, tau, stats=fallback_stats))
+    assert_same_cliques(found, stats, fallback, fallback_stats)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    graph=uncertain_graphs(),
-    k=st.integers(min_value=0, max_value=4),
-    tau=st.sampled_from(TAUS),
-)
-def test_maximum_pivot_is_exactly_bitset(
-    graph: UncertainGraph, k: int, tau: float
-) -> None:
-    # The branch-and-bound's DFS-first output depends on branch order,
-    # so engine="pivot" runs the exact bitset search: identical result,
-    # identical counters, pivot counters pinned to zero.
-    bitset_stats = MaximumSearchStats()
-    bitset = max_uc_plus(graph, k, tau, stats=bitset_stats, engine="bitset")
-    pivot_stats = MaximumSearchStats()
-    pivot = max_uc_plus(graph, k, tau, stats=pivot_stats, engine="pivot")
-    assert pivot == bitset
-    assert asdict(pivot_stats) == asdict(bitset_stats)
-    assert pivot_stats.pivot_branches == 0
-    assert pivot_stats.pivot_skipped == 0
-
-
-@pytest.mark.parametrize("engine", ["legacy", "bitset", "pivot"])
-def test_duplicate_probability_peel_is_engine_independent(
-    engine: str,
-) -> None:
+def _duplicate_probability_graph() -> UncertainGraph:
     # Every edge shares one probability value: any bisect-by-value
-    # removal in the legacy peel hits an arbitrary duplicate, which must
+    # removal in the dict peels hits an arbitrary duplicate, which must
     # not matter.  Star spokes die under the (Top_2, tau)-core, the
     # triangle survives.
     graph = UncertainGraph()
@@ -285,8 +270,21 @@ def test_duplicate_probability_peel_is_engine_independent(
     graph.add_edge("hub", "t1", 0.6)
     for u, v in itertools.combinations(("t1", "t2", "t3"), 2):
         graph.add_edge(u, v, 0.6)
-    cliques = sorted(
-        maximal_cliques(graph, 2, 0.2, engine=engine),  # type: ignore[arg-type]
-        key=sorted,
-    )
-    assert cliques == [frozenset({"t1", "t2", "t3"})]
+    return graph
+
+
+@pytest.mark.parametrize("engine", ["legacy", "pivot", "reference"])
+def test_duplicate_probability_peel_is_engine_independent(
+    engine: str,
+) -> None:
+    # "legacy" is the _muc recursion as the production fallback (limit
+    # forced to zero), "pivot" the compiled kernel, "reference" the
+    # oracle driver with the dict peels.
+    graph = _duplicate_probability_graph()
+    if engine == "reference":
+        found = reference.maximal_cliques(graph, 2, 0.2)
+    else:
+        limit = 0 if engine == "legacy" else enumeration_mod.KERNEL_COMPONENT_LIMIT
+        with patched("KERNEL_COMPONENT_LIMIT", limit):
+            found = list(maximal_cliques(graph, 2, 0.2))
+    assert sorted(found, key=sorted) == [frozenset({"t1", "t2", "t3"})]

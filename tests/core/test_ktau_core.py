@@ -10,6 +10,7 @@ from repro import (
     tau_degree,
 )
 from repro.errors import ParameterError
+from repro.reference import peels as reference
 from tests.conftest import make_clique, make_random_graph
 
 
@@ -107,9 +108,9 @@ class TestTauCoreNumbers:
         tau = 0.3
         xi = tau_core_numbers(g, tau)
         for k in range(0, 5):
-            assert {u for u, x in xi.items() if x >= k} == dp_core_plus(
-                g, k, tau
-            )
+            assert {
+                u for u, x in xi.items() if x >= k
+            } == reference.dp_core_plus(g, k, tau)
 
     def test_bounded_by_deterministic_core(self):
         from repro.deterministic.core_decomposition import core_numbers

@@ -13,7 +13,7 @@ from repro import (
     maximum_clique,
     muce_plus_plus,
 )
-from repro.core.bruteforce import brute_force_maximum_clique
+from repro.reference.bruteforce import brute_force_maximum_clique
 from repro.utils.validation import prob_at_least
 from tests.conftest import make_clique, make_random_graph
 

@@ -24,13 +24,13 @@ import repro.core.parallel as parallel_mod
 from repro import UncertainGraph
 from repro.core.enumeration import EnumerationStats, maximal_cliques
 from repro.core.kernel import (
-    compile_component,
     enum_root_prep,
-    enumerate_component,
-    enumerate_root_range,
+    enumerate_pivot_range,
+    pivot_root_plan,
 )
 from repro.core.maximum import MaximumSearchStats, max_uc_plus
 from repro.core.parallel import branch_ranges, resolve_jobs
+from repro.reference import compile_component
 from repro.utils.validation import threshold_floor
 
 PROBABILITY_PALETTE = (0.25, 0.4, 0.4, 0.5, 0.7, 0.7, 0.9, 1.0)
@@ -120,77 +120,65 @@ def _two_triangles() -> UncertainGraph:
 
 def test_oversized_components_fall_back_and_interleave_in_order() -> None:
     # With the kernel limit squeezed below one component's size, jobs=2
-    # must route that component through the in-driver legacy recursion
-    # while the other still runs on the pool — and the merged output must
-    # keep the sequential component order.
-    # The squeezed run mixes legacy-fallback and compiled components, so
-    # the bit-identity comparison runs on the order-identical bitset
-    # engine; the pivot engine's mixed run is compared under the *same*
-    # squeezed limit (its compiled components emit in pivot order, which
-    # the unsqueezed baseline would not reproduce).
+    # must route that component through the in-driver _muc fallback
+    # while the other still runs on the pool — and the merged output,
+    # counters included, must equal the squeezed sequential run.
     graph = _two_triangles()
+    unsqueezed = set(maximal_cliques(graph, 2, 0.3))
     original = enumeration_mod.KERNEL_COMPONENT_LIMIT
+    enumeration_mod.KERNEL_COMPONENT_LIMIT = 3
     try:
         sequential_stats = EnumerationStats()
         sequential = list(
-            maximal_cliques(
-                graph, 2, 0.3, stats=sequential_stats, engine="bitset"
-            )
+            maximal_cliques(graph, 2, 0.3, stats=sequential_stats)
         )
-        enumeration_mod.KERNEL_COMPONENT_LIMIT = 3
         mixed_stats = EnumerationStats()
         mixed = list(
-            maximal_cliques(
-                graph, 2, 0.3, stats=mixed_stats, engine="bitset", jobs=2
-            )
-        )
-        pivot_seq_stats = EnumerationStats()
-        pivot_sequential = list(
-            maximal_cliques(graph, 2, 0.3, stats=pivot_seq_stats)
-        )
-        pivot_mixed_stats = EnumerationStats()
-        pivot_mixed = list(
-            maximal_cliques(graph, 2, 0.3, stats=pivot_mixed_stats, jobs=2)
+            maximal_cliques(graph, 2, 0.3, stats=mixed_stats, jobs=2)
         )
     finally:
         enumeration_mod.KERNEL_COMPONENT_LIMIT = original
     assert mixed == sequential
     assert asdict(mixed_stats) == asdict(sequential_stats)
-    assert pivot_mixed == pivot_sequential
-    assert asdict(pivot_mixed_stats) == asdict(pivot_seq_stats)
-    assert set(pivot_mixed) == set(sequential)
+    # The 4-node component fell back, the triangle ran compiled.
+    assert sequential_stats.fallback_components == 1
+    assert set(sequential) == unsqueezed
+    assert sequential.index(frozenset("abcd")) < sequential.index(
+        frozenset("xyz")
+    )
 
 
 def test_range_partition_concatenates_to_sequential_output() -> None:
-    # Kernel-level check without a pool: enum_root_prep + any partition
-    # of the root range must concatenate to the sequential cliques with
-    # stats summing to the sequential totals.
+    # Kernel-level check without a pool: enum_root_prep + pivot_root_plan
+    # + any partition of the root branch list must concatenate to the
+    # whole-range cliques with stats summing to the whole-range totals.
     graph = UncertainGraph()
     for u, v in itertools.combinations(range(7), 2):
         if (u + v) % 3:
             graph.add_edge(u, v, PROBABILITY_PALETTE[(u * 7 + v) % 8])
     k, tau, min_size = 2, 0.1, 3
     tau_floor = threshold_floor(tau)
-
-    whole_stats = EnumerationStats()
-    whole = list(
-        enumerate_component(graph, k, tau_floor, min_size, True, 0, whole_stats)
-    )
-
     comp = compile_component(graph)
-    split_stats = EnumerationStats()
-    cands = enum_root_prep(comp, k, tau_floor, min_size, True, 0, split_stats)
-    assert cands is not None
-    pieces = []
-    for start, stop in branch_ranges(len(cands), 3):
-        pieces.extend(
-            enumerate_root_range(
-                comp, k, tau_floor, min_size, True, 0, cands, start, stop,
-                split_stats,
+
+    def search(partition: int) -> tuple[list[frozenset[object]], dict]:
+        stats = EnumerationStats()
+        cands = enum_root_prep(comp, k, tau_floor, min_size, True, 0, stats)
+        assert cands is not None
+        branches = pivot_root_plan(comp, k, tau_floor, min_size, cands,
+                                   stats)
+        out = []
+        for start, stop in branch_ranges(len(branches), partition):
+            out.extend(
+                enumerate_pivot_range(
+                    comp, k, tau_floor, min_size, True, 0, cands, branches,
+                    start, stop, stats,
+                )
             )
-        )
-    assert pieces == whole
-    assert asdict(split_stats) == asdict(whole_stats)
+        return out, asdict(stats)
+
+    whole = search(1)
+    assert whole[0]
+    assert search(3) == whole
 
 
 def test_branch_ranges_partition_evenly() -> None:

@@ -1,10 +1,10 @@
-"""Randomized parity: the compiled prune kernel vs the legacy peels.
+"""Randomized parity: the compiled prune kernel vs the reference peels.
 
-The arrays engine (:mod:`repro.core.prune_kernel`) promises the *same
+The compiled peels (:mod:`repro.core.prune_kernel`) promise the *same
 set*, not an approximation: verified peeling converges to the unique
 maximal fixpoint regardless of peel order, so every peel — ``dp_core``,
-``dp_core_plus``, ``topk_core`` — must return exactly the legacy answer
-on every graph.  The generated graphs deliberately stress the known
+``dp_core_plus``, ``topk_core`` — must return exactly the answer of the
+dict-based peels in :mod:`repro.reference.peels` on every graph.  The generated graphs deliberately stress the known
 hazards of the flat-array lowering:
 
 * deterministic edges (``p == 1.0``) and probabilities straddling
@@ -13,7 +13,8 @@ hazards of the flat-array lowering:
 * isolated nodes (rows of width zero in the CSR);
 * non-integer labels mixed with integers (the dense-id compile must
   respect the graph's own iteration order, not sortability);
-* seeded peels (``members=``) versus the legacy induced-subgraph route;
+* seeded peels (``members=``) versus the reference on the induced
+  subgraph;
 * ``fixed=`` abort parity for Algorithm 3's early exit.
 """
 
@@ -27,14 +28,15 @@ from hypothesis import given, settings, strategies as st
 from repro import UncertainGraph
 from repro.core.ktau_core import dp_core, dp_core_plus
 from repro.core.prune_kernel import (
-    compile_prune_graph,
+    compile_graph,
     distribution_peel,
     survival_peel,
     topk_peel,
 )
 from repro.core.session import PreparedGraph
-from repro.core.topk_core import topk_core, topk_core_arrays
+from repro.core.topk_core import topk_core
 from repro.deterministic.core_decomposition import core_numbers
+from repro.reference import peels as reference
 
 # The palette forces duplicate probabilities, deterministic edges, and
 # values on both sides of STABLE_P_LIMIT = 1 - 1e-6 in one graph.
@@ -81,23 +83,23 @@ def prune_graphs(draw: st.DrawFn) -> UncertainGraph:
 def test_peel_engines_identical(
     graph: UncertainGraph, k: int, tau: float
 ) -> None:
-    compiled = compile_prune_graph(graph)
-    assert dp_core(graph, k, tau, compiled=compiled) == dp_core(
-        graph, k, tau, engine="legacy"
+    compiled = compile_graph(graph)
+    assert dp_core(graph, k, tau, compiled=compiled) == reference.dp_core(
+        graph, k, tau
     )
-    assert dp_core_plus(graph, k, tau, compiled=compiled) == dp_core_plus(
-        graph, k, tau, engine="legacy"
-    )
+    assert dp_core_plus(
+        graph, k, tau, compiled=compiled
+    ) == reference.dp_core_plus(graph, k, tau)
     arrays = topk_core(graph, k, tau, compiled=compiled)
-    legacy = topk_core(graph, k, tau, engine="legacy")
-    assert arrays.nodes == legacy.nodes
-    assert arrays.contains_fixed == legacy.contains_fixed
+    oracle = reference.topk_core(graph, k, tau)
+    assert arrays.nodes == oracle.nodes
+    assert arrays.contains_fixed == oracle.contains_fixed
 
 
 @settings(max_examples=40, deadline=None)
 @given(graph=prune_graphs())
 def test_compiled_core_ids_match_core_numbers(graph: UncertainGraph) -> None:
-    compiled = compile_prune_graph(graph)
+    compiled = compile_graph(graph)
     lazy = dict(zip(compiled.nodes, compiled.core_ids()))
     assert lazy == core_numbers(graph)
 
@@ -115,12 +117,12 @@ def test_seeded_peel_matches_induced_subgraph(
     nodes = graph.nodes()
     members = data.draw(st.sets(st.sampled_from(nodes)) if nodes else st.just(set()))
     induced = graph.induced_subgraph(members)
-    compiled = compile_prune_graph(graph)
-    assert survival_peel(compiled, k, tau, members=members) == dp_core_plus(
-        induced, k, tau, engine="legacy"
-    )
+    compiled = compile_graph(graph)
+    assert survival_peel(
+        compiled, k, tau, members=members
+    ) == reference.dp_core_plus(induced, k, tau)
     seeded = topk_peel(compiled, k, tau, members=members)
-    assert seeded == topk_core(induced, k, tau, engine="legacy").nodes
+    assert seeded == reference.topk_core(induced, k, tau).nodes
 
 
 @settings(max_examples=30, deadline=None)
@@ -137,10 +139,10 @@ def test_fixed_abort_parity(
     fixed = data.draw(
         st.sets(st.sampled_from(nodes), min_size=1) if nodes else st.just(set())
     )
-    arrays = topk_core(graph, k, tau, fixed=fixed, compiled=compile_prune_graph(graph))
-    legacy = topk_core(graph, k, tau, fixed=fixed, engine="legacy")
-    assert arrays.nodes == legacy.nodes
-    assert arrays.contains_fixed == legacy.contains_fixed
+    arrays = topk_core(graph, k, tau, fixed=fixed, compiled=compile_graph(graph))
+    oracle = reference.topk_core(graph, k, tau, fixed=fixed)
+    assert arrays.nodes == oracle.nodes
+    assert arrays.contains_fixed == oracle.contains_fixed
 
 
 def _straddle_graph() -> UncertainGraph:
@@ -162,24 +164,24 @@ def _straddle_graph() -> UncertainGraph:
 @pytest.mark.parametrize("tau", [0.05, 0.5, 0.9])
 def test_stable_limit_straddle_parity(k: int, tau: float) -> None:
     graph = _straddle_graph()
-    compiled = compile_prune_graph(graph)
-    assert dp_core_plus(graph, k, tau, compiled=compiled) == dp_core_plus(
-        graph, k, tau, engine="legacy"
-    )
-    assert dp_core(graph, k, tau, compiled=compiled) == dp_core(
-        graph, k, tau, engine="legacy"
+    compiled = compile_graph(graph)
+    assert dp_core_plus(
+        graph, k, tau, compiled=compiled
+    ) == reference.dp_core_plus(graph, k, tau)
+    assert dp_core(graph, k, tau, compiled=compiled) == reference.dp_core(
+        graph, k, tau
     )
     arrays = topk_core(graph, k, tau, compiled=compiled)
-    assert arrays.nodes == topk_core(graph, k, tau, engine="legacy").nodes
+    assert arrays.nodes == reference.topk_core(graph, k, tau).nodes
 
 
 def test_artifact_reuse_across_peels() -> None:
     # One compile serves every peel at every (k, tau) — the session's
     # sharing pattern — and repeated replays stay bit-identical.
     graph = _straddle_graph()
-    compiled = compile_prune_graph(graph)
+    compiled = compile_graph(graph)
     for k, tau in [(1, 0.05), (2, 0.5), (3, 0.2), (2, 0.5)]:
-        fresh = compile_prune_graph(graph)
+        fresh = compile_graph(graph)
         assert survival_peel(compiled, k, tau) == survival_peel(fresh, k, tau)
         assert distribution_peel(compiled, k, tau) == distribution_peel(
             fresh, k, tau
@@ -188,18 +190,10 @@ def test_artifact_reuse_across_peels() -> None:
     assert compiled.version == graph.version
 
 
-def test_members_requires_arrays_engine() -> None:
+def test_topk_peel_members_none_never_aborts() -> None:
     graph = _straddle_graph()
-    with pytest.raises(ValueError, match="members"):
-        dp_core(graph, 2, 0.2, engine="legacy", members={"a"})
-    with pytest.raises(ValueError, match="members"):
-        dp_core_plus(graph, 2, 0.2, engine="legacy", members={"a"})
-
-
-def test_topk_core_arrays_members_none_never_aborts() -> None:
-    graph = _straddle_graph()
-    result = topk_core_arrays(graph, 2, 0.2)
-    assert result == topk_core(graph, 2, 0.2, engine="legacy").nodes
+    result = topk_peel(compile_graph(graph), 2, 0.2)
+    assert result == reference.topk_core(graph, 2, 0.2).nodes
 
 
 def test_session_shares_one_compile_across_prune_stages() -> None:
@@ -210,8 +204,6 @@ def test_session_shares_one_compile_across_prune_stages() -> None:
     warm = list(session.maximal_cliques(2, 0.2))
     assert cold == warm
     assert session.cache_info()["misses"] == before  # all hits on replay
-    # The memoized decomposition agrees with the deterministic one.
-    assert session.core_numbers() == core_numbers(graph)
     # Mutation bumps the version; the artifacts rebuild and still agree.
     session.graph.add_edge("pendant", "lone", 0.9)
     fresh = list(session.maximal_cliques(2, 0.2))

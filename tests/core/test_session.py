@@ -189,15 +189,6 @@ class TestBitIdentical:
                 else:
                     g.add_edge(u, v, round(rng.uniform(0.2, 1.0), 6))
 
-    @pytest.mark.parametrize("engine", ["bitset", "legacy"])
-    def test_engines_share_prune_artifact(self, engine):
-        g = make_random_graph(15, 0.55, seed=42)
-        session = PreparedGraph(g)
-        enum_payload(session, 2, 0.2, engine="bitset")
-        assert enum_payload(session, 2, 0.2, engine=engine) == enum_payload(
-            g.copy(), 2, 0.2, engine=engine
-        )
-
     def test_warm_anchored_query_identical(self, two_groups):
         session = PreparedGraph(two_groups)
         cold = list(session.cliques_containing("a1", 3, 0.7))

@@ -9,9 +9,14 @@ lap-wise and never participate in equality) are pinned here.
 
 from __future__ import annotations
 
+import itertools
+import time
 from dataclasses import asdict, fields
 
+import pytest
+
 from repro import UncertainGraph
+import repro.core.enumeration as enumeration_mod
 from repro.core.enumeration import EnumerationStats, muce_plus_plus
 from repro.core.maximum import MaximumSearchStats, max_uc_plus
 
@@ -60,18 +65,26 @@ def test_maximum_merge_sums_counters_and_maxes_best_size() -> None:
 
 
 def test_pivot_counters_recorded_by_the_default_engine() -> None:
-    # The pivot engine is the default: a dense component must record at
-    # least one absorbed (skipped) candidate, and every root is either
-    # branched or skipped.  The non-pivot engines leave both at zero.
+    # The pivot kernel searches every component within the kernel limit:
+    # a dense component must record at least one absorbed (skipped)
+    # candidate.  The _muc fallback above the limit never pivots and
+    # counts the component in fallback_components instead.
     graph = _triangle_graph()
     stats = EnumerationStats()
     list(muce_plus_plus(graph, 1, 0.5, stats=stats))
     assert stats.pivot_branches > 0
     assert stats.pivot_skipped > 0
-    oracle = EnumerationStats()
-    list(muce_plus_plus(graph, 1, 0.5, stats=oracle, engine="bitset"))
-    assert oracle.pivot_branches == 0
-    assert oracle.pivot_skipped == 0
+    assert stats.fallback_components == 0
+    original = enumeration_mod.KERNEL_COMPONENT_LIMIT
+    enumeration_mod.KERNEL_COMPONENT_LIMIT = 0
+    try:
+        fallback = EnumerationStats()
+        list(muce_plus_plus(graph, 1, 0.5, stats=fallback))
+    finally:
+        enumeration_mod.KERNEL_COMPONENT_LIMIT = original
+    assert fallback.pivot_branches == 0
+    assert fallback.pivot_skipped == 0
+    assert fallback.fallback_components == 1
 
 
 def test_merge_accumulates_timings_lap_wise() -> None:
@@ -117,6 +130,28 @@ def test_enumeration_records_phase_timings() -> None:
     for phase in ("prune", "cut", "compile", "search"):
         assert phase in stats.timings.laps, phase
         assert stats.timings.seconds(phase) >= 0.0
+
+
+def test_fallback_component_records_search_lap(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # A component above the kernel limit runs the _muc fallback, which
+    # is a generator interleaved with the consumer: its search lap must
+    # be recorded, and must cover the generator's own work only — not
+    # the time the consumer spends between cliques.
+    monkeypatch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", 2)
+    graph = UncertainGraph()
+    for u, v in itertools.combinations(range(6), 2):
+        graph.add_edge(u, v, 0.5 + 0.01 * (u + v))
+    stats = EnumerationStats()
+    pause = 0.02
+    consumed = 0
+    for _ in muce_plus_plus(graph, 1, 0.05, stats=stats):
+        time.sleep(pause)
+        consumed += 1
+    assert stats.fallback_components == 1
+    assert consumed > 1
+    assert 0.0 < stats.timings.seconds("search") < pause * consumed
 
 
 def test_maximum_records_phase_timings() -> None:

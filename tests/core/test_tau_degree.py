@@ -3,7 +3,7 @@
 import pytest
 
 from repro import all_tau_degrees, tau_degree, truncated_tau_degree
-from repro.core.bruteforce import brute_force_tau_degree
+from repro.reference.bruteforce import brute_force_tau_degree
 from repro.core.tau_degree import (
     STABLE_P_LIMIT,
     degree_distribution_dp,

@@ -7,7 +7,7 @@ from repro import (
     truss_prune_for_cliques,
     uncertain_truss,
 )
-from repro.core.bruteforce import brute_force_maximal_cliques
+from repro.reference.bruteforce import brute_force_maximal_cliques
 from repro.errors import ParameterError
 from repro.uncertain.possible_worlds import enumerate_possible_worlds
 from tests.conftest import make_clique, make_random_graph

@@ -21,7 +21,7 @@ from repro import (
     tau_degree,
     topk_core,
 )
-from repro.core.bruteforce import (
+from repro.reference.bruteforce import (
     brute_force_maximal_cliques,
     brute_force_maximum_clique,
     brute_force_tau_degree,
