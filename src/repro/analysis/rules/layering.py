@@ -96,13 +96,13 @@ PRUNE_FUNCTIONS = frozenset(
 )
 
 #: Files allowed to call the peels directly: their definitions, the
-#: kernel they delegate to, the cut optimization's per-component fringe
-#: peel, and the pipeline/session layer that memoizes the results.
+#: kernel they delegate to, and the pipeline/session layer that memoizes
+#: the results.  The cut optimization is not among them: its fringe peel
+#: runs over the session's compile, never through ``topk_core``.
 _PRUNE_SANCTIONED_FILES = (
     "ktau_core.py",
     "topk_core.py",
     "prune_kernel.py",
-    "cut_pruning.py",
     "pipeline.py",
     "session.py",
 )
@@ -114,8 +114,7 @@ class PruneBypassesSession(Rule):
     Flags calls to any :data:`PRUNE_FUNCTIONS` name — bare
     (``dp_core_plus(...)``) or attribute-qualified
     (``ktau_core.dp_core_plus(...)``) — in files under ``repro/core``
-    other than the peel definitions, the cut optimization, and the
-    pipeline/session layer.  A direct call recompiles the graph on every
+    other than the peel definitions and the pipeline/session layer.  A direct call recompiles the graph on every
     invocation instead of replaying over the session's version-keyed CSR
     compile; route the peel through
     :func:`repro.core.pipeline.prune_stage` via

@@ -7,8 +7,9 @@ parameters to a deterministic artifact:
 * :func:`prune_stage` — core-based preprocessing (Lemmas 1 and 4); returns
   the surviving nodes **in graph iteration order**, so the artifact is
   reproducible no matter which cached seed the session layer supplied.
-* :func:`cut_stage` — cut optimization / component split (Lemma 5); returns
-  the component subgraphs plus the counters the stats objects report.
+* :func:`cut_stage` — cut optimization / component split (Lemma 5) over
+  the :func:`compile_stage` artifact; returns the component subgraphs plus
+  the counters the stats objects report.
 * :func:`compile_stage` — the **single whole-graph lowering**: one
   parameter-free :class:`~repro.core.prune_kernel.CompiledGraph` per graph
   version serves the prune peels *and* the per-component search views, so
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import AbstractSet, Iterator, Sequence
 
-from repro.core.cut_pruning import cut_optimize
+from repro.core.cut_pruning import compiled_cut, component_pieces
 from repro.core.enumeration import EnumerationStats, _muc_component
 from repro.core.kernel import (
     CompiledComponent,
@@ -58,7 +59,6 @@ from repro.core.prune_kernel import (
     topk_peel,
 )
 from repro.deterministic.coloring import greedy_coloring
-from repro.deterministic.components import component_subgraphs
 from repro.uncertain.graph import Node, UncertainGraph
 from repro.utils.timing import Stopwatch
 
@@ -155,31 +155,36 @@ class CutArtifact:
 
 
 def cut_stage(
-    pruned: UncertainGraph,
+    graph: UncertainGraph,
+    compiled: CompiledGraph,
+    members: Sequence[Node],
     k: int,
     tau: float,
     cut: bool,
-    nodes_after_pruning: int,
 ) -> CutArtifact:
-    """Split the pruned graph into search components (Lemma 5).
+    """Split the subgraph induced by ``members`` into search components
+    (Lemma 5).
 
-    With ``cut=True`` runs the cut-based optimization; otherwise a plain
-    connected-component split.  ``nodes_after_pruning`` is carried through
-    from the prune stage so the artifact is self-contained.
+    With ``cut=True`` runs the cut-based optimization over ``compiled``
+    (the :func:`compile_stage` artifact of ``graph``) without building
+    any intermediate subgraph; otherwise a plain connected-component
+    split.  ``members`` should be in graph iteration order; each final
+    piece becomes one induced subgraph of ``graph``, members in graph
+    order.
     """
     if cut:
-        result = cut_optimize(pruned, k, tau)
-        return CutArtifact(
-            components=tuple(result.components),
-            cuts_found=result.cuts_found,
-            edges_removed=result.edges_removed,
-            nodes_after_pruning=nodes_after_pruning,
-        )
+        split = compiled_cut(compiled, members, k, tau)
+        pieces = split.pieces
+        cuts_found = split.cuts_found
+        edges_removed = split.edges_removed
+    else:
+        pieces = component_pieces(compiled, members)
+        cuts_found = edges_removed = 0
     return CutArtifact(
-        components=tuple(component_subgraphs(pruned)),
-        cuts_found=0,
-        edges_removed=0,
-        nodes_after_pruning=nodes_after_pruning,
+        components=tuple(graph.induced_subgraph(piece) for piece in pieces),
+        cuts_found=cuts_found,
+        edges_removed=edges_removed,
+        nodes_after_pruning=len(members),
     )
 
 

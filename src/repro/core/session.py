@@ -71,14 +71,14 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from time import perf_counter
-from typing import AbstractSet, Any, Iterable, Iterator
+from typing import AbstractSet, Any, Iterable, Iterator, Sequence
 
 from repro.core import enumeration as _enumeration_mod
 from repro.core import pipeline
 from repro.core.enumeration import EnumerationStats, PruningRule
 from repro.core.maximum import MaximumSearchStats
 from repro.core.parallel import resolve_jobs
-from repro.core.topk_core import topk_core
+from repro.core.prune_kernel import compile_graph, topk_peel
 from repro.errors import NodeNotFoundError
 from repro.uncertain.clique_prob import clique_probability, is_clique
 from repro.uncertain.graph import Node, UncertainGraph
@@ -488,7 +488,10 @@ class PreparedGraph:
         queries with the same ``(pruning, cut, k, tau)`` — the cut stage
         is identical for both.  Phase laps are recorded only when work
         actually runs; resolving the unified compile *before* the prune
-        lap keeps the ``"compile"`` and ``"prune"`` phases disjoint.
+        and cut laps keeps the ``"compile"``, ``"prune"`` and ``"cut"``
+        phases disjoint.  The cut runs over the same compile, on the
+        component's graph-ordered survivors — no subgraph is built until
+        the final pieces.
         """
         artifact = None
         if pruning != "none":
@@ -508,10 +511,11 @@ class PreparedGraph:
                 if not comp_surv:
                     entry = ((), 0, 0)
                 else:
+                    if artifact is None:
+                        artifact = self._compiled_artifact(version, timings)
                     with timings.lap("cut"):
                         part_art = pipeline.cut_stage(
-                            self._graph.induced_subgraph(comp_surv),
-                            k, tau, cut, len(comp_surv),
+                            self._graph, artifact, comp_surv, k, tau, cut,
                         )
                     entry = (
                         part_art.components,
@@ -733,7 +737,7 @@ class PreparedGraph:
         self,
         stage: str,
         anchor_key: Any,
-        region: Iterable[Node],
+        region: Sequence[Node],
         fixed: set[Node],
         k: int,
         tau: float,
@@ -754,12 +758,23 @@ class PreparedGraph:
         child = self._lookup(key)
         if child is not _MISSING:
             return child  # type: ignore[no-any-return]
-        sub = self._graph.induced_subgraph(region)
-        anchored = topk_core(sub, k, tau, fixed=fixed)
-        if not anchored:
+        # The anchored peel replays over this version's compile when the
+        # session already holds it (members= the region), and the child
+        # starts from a projection of the same rows, so neither re-lowers
+        # the graph.  A session without one lowers just the region: a
+        # whole-graph compile would cost far more than the anchored query.
+        ckey = (self._graph.version, "compile")
+        if ckey in self._cache:
+            artifact = self._lookup(ckey)
+        else:
+            artifact = compile_graph(self._graph.induced_subgraph(region))
+        anchored = topk_peel(artifact, k, tau, members=region, fixed=fixed)
+        if anchored is None:
             child = None
         else:
-            child = PreparedGraph(sub.induced_subgraph(anchored.nodes))
+            nodes = [u for u in region if u in anchored]
+            child = PreparedGraph(self._graph.induced_subgraph(nodes))
+            child._store((child.version, "compile"), artifact.restrict(nodes))
         self._store(key, child)
         return child
 

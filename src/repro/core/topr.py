@@ -58,7 +58,7 @@ def top_r_maximal_cliques(
     # One-shot driver: a single prune per call, no session to share a
     # compiled artifact with.
     survivors = topk_core(graph, k, tau).nodes  # repro-lint: ignore[RPL008]
-    pruned = graph.induced_subgraph(survivors)
+    pruned = graph.induced_subgraph([u for u in graph if u in survivors])
     components = cut_optimize(pruned, k, tau).components
     # Large components first: fills the heap with big cliques early,
     # letting later small components be skipped.

@@ -8,6 +8,8 @@ keeps it that way).  It holds:
   maximal and maximum (k, tau)-cliques and of tau-degrees;
 * :mod:`~repro.reference.peels` — the dict-based DPCore, DPCore+ and
   (Top_k, tau)-core peels;
+* :mod:`~repro.reference.cut` — the dict-based cut optimization, which
+  deletes the low-probability cut edges from a working copy;
 * :mod:`~repro.reference.search` — the dict-based MUCE++ and MaxUC+
   drivers (Mukherjee et al.'s set-enumeration recursion on every
   component);
@@ -21,6 +23,7 @@ from repro.reference.bruteforce import (
     brute_force_tau_degree,
 )
 from repro.reference.compile import compile_component
+from repro.reference.cut import cut_optimize
 from repro.reference.peels import dp_core, dp_core_plus, topk_core
 from repro.reference.search import max_uc_plus, maximal_cliques
 
@@ -29,6 +32,7 @@ __all__ = [
     "brute_force_maximum_clique",
     "brute_force_tau_degree",
     "compile_component",
+    "cut_optimize",
     "dp_core",
     "dp_core_plus",
     "topk_core",

@@ -1,10 +1,10 @@
 """Dict-based reference drivers for MUCE++ and MaxUC+.
 
 Both drivers prune with the dict peels of :mod:`repro.reference.peels`,
-split the survivors with the cut optimization (or plain connected
-components), and search every component with the set-enumeration
-recursion of Mukherjee et al. [18], [19] written over the dict-of-dicts
-adjacency:
+split the survivors with the dict cut of :mod:`repro.reference.cut`
+(or plain connected components), and search every component with the
+set-enumeration recursion of Mukherjee et al. [18], [19] written over
+the dict-of-dicts adjacency:
 
 * :func:`maximal_cliques` runs :func:`repro.core.enumeration._muc` on
   every component, whatever its size (so its ``fallback_components``
@@ -27,7 +27,6 @@ from repro.core.bounds import (
     advanced_color_bound_two,
     basic_color_bound,
 )
-from repro.core.cut_pruning import cut_optimize
 from repro.core.enumeration import (
     EnumerationStats,
     PruningRule,
@@ -37,6 +36,7 @@ from repro.core.maximum import MaximumSearchStats
 from repro.core.prune_kernel import node_sort_key
 from repro.deterministic.coloring import greedy_coloring
 from repro.deterministic.components import component_subgraphs
+from repro.reference.cut import cut_optimize
 from repro.reference.peels import dp_core_plus, topk_core
 from repro.uncertain.graph import Node, UncertainGraph
 from repro.utils.validation import threshold_floor, validate_k, validate_tau

@@ -570,12 +570,26 @@ class TestPruneBypassesSession:
             "ktau_core.py",
             "topk_core.py",
             "prune_kernel.py",
-            "cut_pruning.py",
             "pipeline.py",
             "session.py",
         ):
             findings = self.lint_core_file(tmp_path, self.DIRECT_CALL, name)
             assert findings == []
+
+    def test_cut_optimization_is_not_sanctioned(self, tmp_path: Path) -> None:
+        # The cut's fringe peel runs over the session's compile; a
+        # topk_core call there would re-lower every piece again.
+        findings = self.lint_core_file(
+            tmp_path,
+            """
+            from repro.core.topk_core import topk_core
+
+            def fringe(piece, k, tau):
+                return topk_core(piece, k, tau).nodes
+            """,
+            "cut_pruning.py",
+        )
+        assert rule_ids(findings) == ["RPL008"]
 
     def test_outside_core_is_allowed(self, tmp_path: Path) -> None:
         findings = lint_source(tmp_path, self.DIRECT_CALL, name="bench.py")

@@ -97,6 +97,26 @@ def test_derived_view_matches_on_arbitrary_member_subsets(
     assert_views_bit_identical(derived, compile_component(component))
 
 
+@settings(max_examples=60, deadline=None)
+@given(graph=uncertain_graphs(), data=st.data())
+def test_restrict_matches_compiling_the_induced_subgraph(
+    graph: UncertainGraph, data: st.DataObject
+) -> None:
+    # The projection the anchored child session starts from: same node
+    # order, same insertion-order rows and floats as a fresh lowering.
+    members = [
+        u for u in graph.nodes() if data.draw(st.booleans(), label=str(u))
+    ]
+    restricted = compile_graph(graph).restrict(members)
+    fresh = compile_graph(graph.induced_subgraph(members))
+    assert restricted.nodes == fresh.nodes
+    assert restricted.version == fresh.version
+    assert restricted.row_offsets == fresh.row_offsets
+    assert restricted.nbr_ids == fresh.nbr_ids
+    assert restricted.nbr_probs == fresh.nbr_probs
+    assert restricted.asc_rows == fresh.asc_rows
+
+
 def _two_triangles() -> UncertainGraph:
     graph = UncertainGraph()
     for u, v in (("a", "b"), ("b", "c"), ("a", "c")):

@@ -4,52 +4,83 @@ These pin down the behavior of the private helpers the hot paths rely
 on, so refactors cannot silently change their contracts.
 """
 
+import heapq
+import math
+
+import pytest
+
 from repro import UncertainGraph
-from repro.core.cut_pruning import _CutTopK, _sweep_split
+from repro.core.cut_pruning import (
+    _INSIDE,
+    _LocalGraph,
+    _strong_floor,
+    _top_k_below,
+)
+from repro.core.prune_kernel import compile_graph
 from repro.core.enumeration import _insearch_topk_prune, _pi_k_ok
-from repro.utils.validation import FLOAT_EPS
+from repro.utils.validation import FLOAT_EPS, prob_at_least, prob_below
 from tests.conftest import make_clique, make_random_graph
+
+
+def _cut_heap(probs):
+    """A cut heap holding one edge per probability, outside endpoint
+    ``i + 100``, plus the weight map marking every endpoint outside S."""
+    heap = [(-p, i + 100) for i, p in enumerate(probs)]
+    heapq.heapify(heap)
+    weight = {i + 100: 0.0 for i in range(len(probs))}
+    return heap, weight
 
 
 class TestCutTopK:
     def test_small_cut_is_low(self):
-        cut = _CutTopK()
-        cut.add(frozenset((1, 2)), 0.9)
-        assert cut.is_low(2, 0.5)  # only one live edge
+        heap, weight = _cut_heap([0.9])
+        assert _top_k_below(heap, weight, 2, 0.5)
 
     def test_top_k_product(self):
-        cut = _CutTopK()
-        for i, p in enumerate((0.9, 0.5, 0.8)):
-            cut.add(frozenset((i, i + 100)), p)
+        heap, weight = _cut_heap([0.9, 0.5, 0.8])
         # top-2 product = 0.72
-        assert not cut.is_low(2, 0.7)
-        assert cut.is_low(2, 0.73)
+        assert not _top_k_below(heap, weight, 2, 0.7)
+        assert _top_k_below(heap, weight, 2, 0.73)
 
     def test_removal_changes_product(self):
-        cut = _CutTopK()
-        keys = [frozenset((i, i + 100)) for i in range(3)]
-        for key, p in zip(keys, (0.9, 0.5, 0.8)):
-            cut.add(key, p)
-        cut.remove(keys[0])  # drop the 0.9; top-2 = 0.4
-        assert cut.is_low(2, 0.5)
-        assert not cut.is_low(2, 0.3)
+        heap, weight = _cut_heap([0.9, 0.5, 0.8])
+        weight[100] = _INSIDE  # drop the 0.9; top-2 = 0.4
+        assert _top_k_below(heap, weight, 2, 0.5)
+        assert not _top_k_below(heap, weight, 2, 0.3)
 
     def test_live_count_tracks(self):
-        cut = _CutTopK()
-        key = frozenset((1, 2))
-        cut.add(key, 0.5)
-        assert cut.live == 1
-        cut.remove(key)
-        assert cut.live == 0
-        assert cut.is_low(1, 0.01)
+        heap, weight = _cut_heap([0.5])
+        assert not _top_k_below(heap, weight, 1, 0.01)
+        weight[100] = _INSIDE
+        assert _top_k_below(heap, weight, 1, 0.01)
+        assert heap == []  # the dead entry was discarded for good
 
     def test_query_is_repeatable(self):
-        cut = _CutTopK()
-        for i, p in enumerate((0.9, 0.8, 0.7)):
-            cut.add(frozenset((i, i + 100)), p)
-        first = cut.is_low(2, 0.71)
-        second = cut.is_low(2, 0.71)
+        heap, weight = _cut_heap([0.9, 0.8, 0.7])
+        first = _top_k_below(heap, weight, 2, 0.71)
+        second = _top_k_below(heap, weight, 2, 0.71)
         assert first == second == False  # noqa: E712 — explicit value
+        assert len(heap) == 3
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 10, 50])
+    @pytest.mark.parametrize("tau", [1e-12, 0.1, 0.2, 0.5, 0.99, 1.0])
+    def test_strong_floor_is_the_smallest_clearing_float(self, k, tau):
+        def power(s):
+            product = 1.0
+            for _ in range(k):
+                product *= s
+            return product
+
+        s = _strong_floor(k, tau)
+        assert 0.0 < s <= 1.0
+        assert prob_at_least(power(s), tau)
+        assert prob_below(power(math.nextafter(s, 0.0)), tau)
+
+
+def _local(graph):
+    """The whole graph as a sweep-ready local CSR, one piece per label."""
+    local = _LocalGraph(compile_graph(graph), graph.nodes())
+    return local, list(range(local.n))
 
 
 class TestPiKOk:
@@ -102,10 +133,8 @@ class TestInsearchPrune:
 
 class TestSweepSplit:
     def test_no_cut_in_strong_clique(self):
-        g = make_clique(6, 0.95)
-        segments, cuts, removed = _sweep_split(
-            g, set(g.nodes()), 3, 0.5
-        )
+        local, piece = _local(make_clique(6, 0.95))
+        segments, cuts, removed = local.sweep_split(piece, 3, 0.5)
         assert cuts == 0
         assert removed == 0
         assert segments == []
@@ -117,10 +146,13 @@ class TestSweepSplit:
             for v_off in range(u_off + 1, 8):
                 g.add_edge(u_off, v_off, 0.95)
         g.add_edge(0, 4, 0.2)
-        segments, cuts, removed = _sweep_split(g, set(g.nodes()), 3, 0.5)
+        local, piece = _local(g)
+        segments, cuts, removed = local.sweep_split(piece, 3, 0.5)
         assert cuts >= 1
         assert removed >= 1
-        assert not g.has_edge(0, 4)
+        # Nothing is deleted; the weak edge crosses two segments.
+        assert g.has_edge(0, 4)
+        assert not any({0, 4} <= set(segment) for segment in segments)
         # Every segment is one of the two cliques (order-independent).
         for segment in segments:
             assert set(segment) <= {0, 1, 2, 3} or set(segment) <= {
@@ -129,7 +161,8 @@ class TestSweepSplit:
 
     def test_disconnected_component_splits(self):
         g = UncertainGraph(edges=[(0, 1, 0.9), (2, 3, 0.9)])
-        segments, cuts, removed = _sweep_split(g, {0, 1, 2, 3}, 1, 0.5)
+        local, piece = _local(g)
+        segments, cuts, removed = local.sweep_split(piece, 1, 0.5)
         assert cuts >= 1
         assert removed == 0  # no crossing edges existed
         groups = [set(s) for s in segments]
@@ -137,18 +170,22 @@ class TestSweepSplit:
 
     def test_all_edges_preserved_or_deleted_consistently(self):
         g = make_random_graph(14, 0.4, seed=5)
-        before = g.num_edges
-        components = {frozenset(c) for c in [set(g.nodes())]}
-        # run on the (single) component of a connected copy
-        from repro.deterministic.components import connected_components
-
-        work = g.copy()
+        local, _ = _local(g)
         total_removed = 0
-        for comp in connected_components(work):
-            if len(comp) > 1:
-                _, _, removed = _sweep_split(work, comp, 3, 0.5)
+        kept = 0
+        for piece in local.split(list(range(local.n))):
+            if len(piece) > 1:
+                segments, _, removed = local.sweep_split(piece, 3, 0.5)
                 total_removed += removed
-        assert work.num_edges == before - total_removed
+                for segment in segments or [piece]:
+                    inside = set(segment)
+                    kept += sum(
+                        1
+                        for u in inside
+                        for j in range(local.offsets[u], local.offsets[u + 1])
+                        if local.nbrs[j] in inside
+                    ) // 2
+        assert kept == g.num_edges - total_removed
 
 
 class TestInsearchPruneDuplicateProbabilities:

@@ -268,3 +268,67 @@ class TestMaintainerIntegration:
         session = PreparedGraph(triangle)
         with pytest.raises(ValueError):
             session.store_core("none", 2, 0.5, set())
+
+
+class TestOneLoweringPerColdQuery:
+    """The cut runs on the session's compile: a cold query lowers the
+    graph once and never copies it or deletes an edge; a reweight is a
+    delta patch, not a re-lowering."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import sys
+
+        from repro.core import prune_kernel
+
+        counts = {"compile_graph": 0, "copy": 0, "remove_edge": 0}
+        original = prune_kernel.compile_graph
+
+        def counted_compile(graph):
+            counts["compile_graph"] += 1
+            return original(graph)
+
+        # Every module that imported the function holds its own binding.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and module is not None:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted_compile)
+
+        for method in ("copy", "remove_edge"):
+            wrapped = getattr(UncertainGraph, method)
+
+            def counted(self, *args, _method=method, _wrapped=wrapped):
+                counts[_method] += 1
+                return _wrapped(self, *args)
+
+            monkeypatch.setattr(UncertainGraph, method, counted)
+        return counts
+
+    def test_cold_query_lowers_once_and_never_mutates(self, calls):
+        from repro.datasets.registry import load_dataset
+
+        graph = load_dataset("askubuntu_like")
+        session = PreparedGraph(graph)
+        stats = EnumerationStats()
+        cliques = list(session.maximal_cliques(10, 0.3, cut=True, stats=stats))
+        assert cliques
+        assert stats.cuts_found > 0  # the cut really dropped edges
+        assert stats.cut_edges_removed > 0
+        assert calls == {"compile_graph": 1, "copy": 0, "remove_edge": 0}
+        assert session.cache_info()["full_compiles"] == 1
+
+        # The anchored query peels over the same compile, and its child
+        # session starts from a projection of it.
+        anchor = next(iter(cliques[0]))
+        anchored = list(session.cliques_containing(anchor, 10, 0.3))
+        assert anchored and all(anchor in c for c in anchored)
+        assert calls == {"compile_graph": 1, "copy": 0, "remove_edge": 0}
+
+        u, v, p = next(iter(graph.edges()))
+        graph.set_probability(u, v, p / 2)
+        calls["compile_graph"] = 0
+        list(session.maximal_cliques(10, 0.3, cut=True))
+        assert calls["compile_graph"] == 0
+        assert session.cache_info()["delta_patches"] == 1
+        assert session.cache_info()["full_compiles"] == 1

@@ -4,9 +4,10 @@ With string nodes, ``set`` iteration order depends on ``PYTHONHASHSEED``,
 which only varies *across* processes — an in-process parity suite can
 never catch a hash-order leak.  These tests re-run the anchored queries
 in subprocesses pinned to different hash seeds and require bit-identical
-output, guarding the fix that builds the anchored region from adjacency
+output, guarding the fixes that build the anchored region from adjacency
 order instead of a set (``PreparedGraph.cliques_containing`` /
-``containing_clique_exists``).
+``containing_clique_exists``) and start every cut sweep at a piece's
+first member in graph order.
 """
 
 from __future__ import annotations
@@ -107,6 +108,55 @@ def test_approximate_growth_is_hash_seed_invariant() -> None:
         + "\n".join(sorted(outputs))
     )
     assert json.loads(next(iter(outputs))) == [["aa", "bb", "cc"]]
+
+
+#: The cut's sweep once started at ``next(iter(component))`` — a set —
+#: so with string labels its cuts followed PYTHONHASHSEED: on this
+#: relabelled askubuntu_like, (10, 0.3) found 5 cuts / 32 edges / 6
+#: components under some seeds and 6 / 37 / 7 under others, and (4, 0.3)
+#: found 0 cuts or 1 cut / 44 edges.  Emits the ordered pieces of the
+#: public cut, the session's counters and its clique yield order.
+_CUT_SCRIPT = """
+import json
+from repro import UncertainGraph, PreparedGraph, cut_optimize, topk_core
+from repro.core.enumeration import EnumerationStats
+from repro.datasets.registry import load_dataset
+
+source = load_dataset("askubuntu_like")
+graph = UncertainGraph(
+    edges=[(f"n{u}", f"n{v}", p) for u, v, p in source.edges()]
+)
+out = []
+for k, tau in [(10, 0.3), (4, 0.3)]:
+    core = topk_core(graph, k, tau).nodes
+    pruned = graph.induced_subgraph([u for u in graph if u in core])
+    result = cut_optimize(pruned, k, tau)
+    stats = EnumerationStats()
+    cliques = list(PreparedGraph(graph).maximal_cliques(k, tau, stats=stats))
+    out.append({
+        "pieces": [c.nodes() for c in result.components],
+        "cut": [result.cuts_found, result.edges_removed,
+                result.fringe_nodes_peeled],
+        "stats": [stats.cuts_found, stats.cut_edges_removed,
+                  stats.components],
+        "order": [sorted(c) for c in cliques],
+    })
+print(json.dumps(out))
+"""
+
+
+def test_cut_is_hash_seed_invariant() -> None:
+    outputs = {_run_script(_CUT_SCRIPT, seed) for seed in ("1", "2")}
+    assert len(outputs) == 1, (
+        "cut output varies with PYTHONHASHSEED:\n"
+        + "\n".join(sorted(outputs))
+    )
+    payload = json.loads(next(iter(outputs)))
+    # Both points really cut (the deterministic start rule's results).
+    assert [point["cut"][:2] for point in payload] == [[5, 32], [1, 44]]
+    for point in payload:
+        assert point["stats"][:2] == point["cut"][:2]
+        assert point["stats"][2] == len(point["pieces"])
 
 
 def test_anchored_queries_are_hash_seed_invariant() -> None:
