@@ -19,7 +19,9 @@ probability is monotone non-increasing under node addition, ``R`` is maximal
 exactly when ``C`` and ``X`` are both empty, and candidate filtering is a
 single probability product per node.  For every candidate ``v`` we maintain
 ``pi_v = prod of p(v, w) for w in R`` incrementally, so the filter
-``CPr(R + {u} + {v}) >= tau`` costs O(1).
+``CPr(R + {u} + {v}) >= tau`` costs O(1).  The production search is the
+compiled pivot kernel of :mod:`repro.core.kernel`; the dict-of-dicts form
+of the recursion is the test oracle in :mod:`repro.reference.search`.
 
 Size semantics: per Definition 2 a (k, tau)-clique has ``|C| > k``; the
 implementation therefore uses ``min_size = k + 1`` where the paper's
@@ -33,14 +35,13 @@ extend any future (k, tau)-clique of that subtree either.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, fields
 from typing import Iterator, Literal
 
 # KERNEL_COMPONENT_LIMIT is a re-exported module attribute by contract:
 # the session layer reads it from *this* module at call time, so tests
-# can force the size-selected fallback by lowering it here.
-from repro.core.kernel import KERNEL_COMPONENT_LIMIT, node_sort_key
+# can force the decomposition by lowering it here.
+from repro.core.kernel import KERNEL_COMPONENT_LIMIT
 from repro.uncertain.graph import Node, UncertainGraph
 from repro.utils.timing import Stopwatch
 
@@ -66,9 +67,10 @@ class EnumerationStats:
     suite and the bench ``identical_output`` check compare stats via
     ``==`` / ``asdict``, which must see the deterministic counters only.
 
-    ``fallback_components`` counts the components above
-    ``KERNEL_COMPONENT_LIMIT`` that the search stage ran through the
-    dict recursion :func:`_muc` instead of the compiled pivot kernel.
+    ``decomposed_components`` counts the components above
+    ``KERNEL_COMPONENT_LIMIT`` that the search stage split in degeneracy
+    order (:mod:`repro.core.decompose`), and ``subproblems`` the
+    per-vertex sub-problems it searched there.
     """
 
     nodes_after_pruning: int = 0
@@ -81,7 +83,8 @@ class EnumerationStats:
     pivot_branches: int = 0
     pivot_skipped: int = 0
     cliques: int = 0
-    fallback_components: int = 0
+    decomposed_components: int = 0
+    subproblems: int = 0
 
     def __post_init__(self) -> None:
         self.timings: Stopwatch = Stopwatch()
@@ -99,16 +102,6 @@ class EnumerationStats:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         for name, seconds in other.timings.laps.items():
             self.timings.add(name, seconds)
-
-
-def _ordered(nodes: Iterator[Node] | list[Node]) -> list[Node]:
-    """Nodes in the library's lexicographic order (Algorithm 4, line 16).
-
-    Only the :func:`_muc` fallback pays this per-component sort at search
-    time; the compiled views establish the same order once and reuse it
-    for ids, candidate iteration, and decompilation.
-    """
-    return sorted(nodes, key=node_sort_key)
 
 
 def maximal_cliques(
@@ -145,9 +138,10 @@ def maximal_cliques(
 
     Each component is searched by the compiled pivot kernel of
     :mod:`repro.core.kernel` (absorbing Tomita pivoting); a component
-    above ``KERNEL_COMPONENT_LIMIT`` runs the dict recursion
-    :func:`_muc` instead, in the driver process, and is counted in
-    ``stats.fallback_components``.  Both emit the same cliques.
+    above ``KERNEL_COMPONENT_LIMIT`` is split in degeneracy order into
+    one small view per vertex (:mod:`repro.core.decompose`), searched in
+    the driver process, and counted in ``stats.decomposed_components``.
+    Both emit the same cliques.
 
     Yields each maximal clique exactly once as a frozenset of nodes.
 
@@ -163,8 +157,8 @@ def maximal_cliques(
     are bit-identical either way).
     """
     # Imported lazily: the session layer imports this module for the
-    # stats types and the fallback recursion, so a top-level import would
-    # be a cycle.
+    # stats types and the search knobs, so a top-level import would be a
+    # cycle.
     from repro.core.session import PreparedGraph
 
     return PreparedGraph(graph).maximal_cliques(
@@ -179,190 +173,6 @@ def maximal_cliques(
 #: ``|R| < k`` condition; the peel is an optional optimization, so output
 #: is unaffected).
 _INSEARCH_MIN_CANDIDATES = 24
-
-
-def _muc(
-    component: UncertainGraph,
-    clique: list[Node],
-    clique_prob: float,
-    candidates: list[tuple[Node, float]],
-    excluded: list[tuple[Node, float]],
-    k: int,
-    tau_floor: float,
-    min_size: int,
-    insearch: bool,
-    stats: EnumerationStats,
-) -> Iterator[frozenset[Node]]:
-    """The recursive ``MUC`` procedure (Algorithm 4, lines 7-22).
-
-    The dict-of-dicts form of the search: the size-selected fallback for
-    components above ``KERNEL_COMPONENT_LIMIT`` (where bitmask ops cost
-    more than they save), and the recursion the reference oracle runs on
-    every component.
-
-    ``candidates`` and ``excluded`` hold ``(node, pi_node)`` pairs where
-    ``pi_node`` is the product of probabilities from the node to every
-    member of ``clique``; the invariant ``clique_prob * pi_node >= tau``
-    holds for every entry.  ``tau_floor`` is the tolerance-adjusted
-    threshold computed once by the driver.
-    """
-    stats.search_calls += 1
-    if not candidates and not excluded:
-        if len(clique) >= min_size:
-            stats.cliques += 1
-            yield frozenset(clique)
-        return
-
-    if (
-        insearch
-        and len(clique) < min_size
-        and len(candidates) >= _INSEARCH_MIN_CANDIDATES
-    ):
-        # Lines 12-15: any maximal clique inside R + C lives in the
-        # (Top_k, tau)-core of the induced subgraph, so shrink C to it.
-        # (Small candidate sets skip the peel: the branch-size prune below
-        # handles them more cheaply — an engineering deviation from the
-        # pseudo-code's bare |R| < k condition; see the module docstring.)
-        pruned = _insearch_topk_prune(
-            component, clique, candidates, k, tau_floor, min_size
-        )
-        if pruned is None:
-            stats.insearch_prunes += 1
-            return
-        if len(pruned) < len(candidates):
-            stats.insearch_prunes += 1
-            candidates = pruned
-
-    remaining = candidates
-    excluded = list(excluded)
-    index = 0
-    while index < len(remaining):
-        u, pi_u = remaining[index]
-        index += 1
-        new_prob = clique_prob * pi_u
-        clique.append(u)
-        incident = component.incident(u)
-        get = incident.get
-        new_candidates = []
-        for v, pi_v in remaining[index:]:
-            p = get(v)
-            if p is not None:
-                pi = pi_v * p
-                # Hot path: tau_floor comes from threshold_floor(tau), so
-                # this is prob_at_least without the per-edge call.
-                if new_prob * pi >= tau_floor:  # repro-lint: ignore[RPL001]
-                    new_candidates.append((v, pi))
-        if len(clique) + len(new_candidates) >= min_size:
-            new_excluded = []
-            for v, pi_v in excluded:
-                p = get(v)
-                if p is not None:
-                    pi = pi_v * p
-                    # Same precomputed-floor fast path as the C filter.
-                    if new_prob * pi >= tau_floor:  # repro-lint: ignore[RPL001]
-                        new_excluded.append((v, pi))
-            yield from _muc(
-                component, clique, new_prob, new_candidates, new_excluded,
-                k, tau_floor, min_size, insearch, stats,
-            )
-            clique.pop()
-            excluded.append((u, pi_u))
-        else:
-            # Line 19: the branch cannot reach min_size; the same bound
-            # certifies u cannot extend any later clique of this subtree,
-            # so u is dropped entirely (no X update needed).
-            stats.branch_size_prunes += 1
-            clique.pop()
-
-
-def _muc_component(
-    component: UncertainGraph,
-    k: int,
-    tau_floor: float,
-    min_size: int,
-    insearch: bool,
-    stats: EnumerationStats,
-) -> Iterator[frozenset[Node]]:
-    """:func:`_muc` over one whole component, counted in
-    ``stats.fallback_components`` (components searched by ``_muc``)."""
-    stats.fallback_components += 1
-    candidates = [(v, 1.0) for v in _ordered(component.nodes())]
-    return _muc(
-        component, [], 1.0, candidates, [], k, tau_floor, min_size,
-        insearch, stats,
-    )
-
-
-def _insearch_topk_prune(
-    component: UncertainGraph,
-    clique: list[Node],
-    candidates: list[tuple[Node, float]],
-    k: int,
-    tau_floor: float,
-    min_size: int,
-) -> list[tuple[Node, float]] | None:
-    """(Top_k, tau)-core peel of the subgraph induced by R + C, in place.
-
-    Specialised version of :func:`repro.core.topk_core.topk_core` for the
-    in-search prune: works directly on the component's adjacency (no
-    subgraph object is materialised) and returns the filtered candidate
-    list, or ``None`` when the branch is dead — a clique member was peeled
-    (Algorithm 3's ``V_I`` abort) or fewer than ``min_size`` nodes remain.
-    """
-    member_set = set(clique)
-    member_set.update(v for v, _ in candidates)
-    fixed = set(clique)
-
-    incident = {u: component.incident(u) for u in member_set}
-    probs: dict[Node, list[float]] = {}
-    queue: list[Node] = []
-    removed: set[Node] = set()
-    # Worklist seeding order cannot change the peel's fixpoint, only the
-    # visit order of an order-free set computation.
-    for u in member_set:  # repro-lint: ignore[RPL009]
-        inc = incident[u]
-        plist = sorted(p for v, p in inc.items() if v in member_set)
-        probs[u] = plist
-        if not _pi_k_ok(plist, k, tau_floor):
-            if u in fixed:
-                return None
-            queue.append(u)
-            removed.add(u)
-
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        inc_u = incident[u]
-        for v in inc_u:
-            if v not in member_set or v in removed:
-                continue
-            plist = probs[v]
-            idx = bisect.bisect_left(plist, inc_u[v])
-            plist.pop(idx)
-            if not _pi_k_ok(plist, k, tau_floor):
-                if v in fixed:
-                    return None
-                queue.append(v)
-                removed.add(v)
-
-    if len(member_set) - len(removed) < min_size:
-        return None
-    if not removed:
-        return candidates
-    return [(v, pi) for v, pi in candidates if v not in removed]
-
-
-def _pi_k_ok(sorted_probs: list[float], k: int, tau_floor: float) -> bool:
-    """Whether the top-k product of an ascending probability list clears
-    the threshold."""
-    if len(sorted_probs) < k:
-        return False
-    product = 1.0
-    for p in sorted_probs[len(sorted_probs) - k :]:
-        product *= p
-    # Hot path: raw compare against the precomputed threshold_floor(tau).
-    return product >= tau_floor  # repro-lint: ignore[RPL001]
 
 
 def muce(

@@ -1,29 +1,29 @@
 """Compiled search kernel for the MUCE/MaxUC+ hot paths.
 
-The reference searches (:func:`repro.core.enumeration._muc` and the
-dict MaxUC+ of :mod:`repro.reference`) are written over
-:class:`UncertainGraph`'s dict-of-dicts adjacency: every candidate
-filter is a per-edge hash lookup on arbitrary node objects, every branch
-rebuilds ``(node, pi)`` tuple lists for both the candidate set *and* the
-excluded set, and the in-search (Top_k, tau)-core peel rebuilds sorted
-probability lists from scratch at every recursion level.  This module
-removes that overhead with a per-component *compiled view*:
+The reference searches (the dict MUC recursion and the dict MaxUC+ of
+:mod:`repro.reference`) are written over :class:`UncertainGraph`'s
+dict-of-dicts adjacency: every candidate filter is a per-edge hash
+lookup on arbitrary node objects, every branch rebuilds ``(node, pi)``
+tuple lists for both the candidate set *and* the excluded set, and the
+in-search (Top_k, tau)-core peel rebuilds sorted probability lists from
+scratch at every recursion level.  This module removes that overhead
+with a per-component *compiled view*:
 
 1. nodes are mapped to dense ints ``0 .. n-1`` in the library's
    deterministic order, so the compiled id order doubles as the search
    order;
-2. adjacency is materialised several ways: CSR-style flat neighbor and
+2. adjacency is materialised three ways: CSR-style flat neighbor and
    probability arrays in per-row descending-probability order (the form
    the in-search core peel consumes without any re-sorting), Python-int
    bitmask rows (one ``n``-bit integer per node, so neighbor
-   intersections are a single ``&``), dense probability rows (plain float
-   lists indexed by node id, ``0.0`` marking non-edges) for small
-   components, and int-keyed probability dicts as the large-component
-   fallback.
+   intersections are a single ``&``), and dense probability rows (plain
+   float lists indexed by node id, ``0.0`` marking non-edges).
 
 The views are derived from the whole-graph
 :class:`~repro.core.prune_kernel.CompiledGraph` by
-:func:`derive_component_view`.
+:func:`derive_component_view`, or, for one sub-problem of a component
+too large for a single view, by
+:meth:`repro.core.decompose.DecompositionPlan.view`.
 
 The enumeration core (:func:`enumerate_pivot_range`, absorbing Tomita
 pivoting over the MUC recursion of Algorithm 4) keeps the candidate set
@@ -43,7 +43,10 @@ incremental compares along the path are all implied by the final one,
 because IEEE multiplication by factors ``<= 1`` is monotone
 non-increasing.  Recomputing ``pi_x`` in canonical clique order makes
 the emission decision the reference's, bit for bit, while the
-per-branch ``X`` filtering work disappears entirely.
+per-branch ``X`` filtering work disappears entirely.  The same scan
+checks a sub-problem view's *witnesses* — ids past ``n`` that appear
+only in the candidates' masks and rows — so nodes outside the
+sub-problem can still veto a clique's maximality.
 
 :func:`maximum_compiled` is the MaxUC+ color-bound branch-and-bound over
 the same view.  Results are decompiled back to the original node
@@ -67,6 +70,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards (types only)
 __all__ = [
     "CompiledComponent",
     "derive_component_view",
+    "project_component",
     "node_sort_key",
     "iter_bits",
     "enum_root_prep",
@@ -81,21 +85,14 @@ __all__ = [
 #: machine-word int, so the extraction loop never does big-int arithmetic.
 _CHUNK_MASK = 0xFFFFFFFFFFFFFFFF
 
-#: Components up to this many nodes get dense probability rows (n floats
-#: per node, 0.0 for non-edges); larger ones fall back to int-keyed dicts
-#: to keep compilation O(n + m) and memory bounded.
-_DENSE_ROW_LIMIT = 1024
-
-#: Largest component the compiled *enumeration* core accepts.  Above this
-#: every bitmask op pays O(n / 64) words even deep in the tree where the
-#: candidate sets are tiny (a sparse 9000-node component makes each
-#: ``common & adj[u]`` a 141-word operation), which was measured slower
-#: than the tuple-list recursion — so the enumeration search stage runs
-#: oversized components through :func:`repro.core.enumeration._muc`
-#: instead (counted in ``EnumerationStats.fallback_components``).
-#: Matches :data:`_DENSE_ROW_LIMIT`, so the compiled enumeration always
-#: has dense probability rows.
-KERNEL_COMPONENT_LIMIT = _DENSE_ROW_LIMIT
+#: Largest component searched as one compiled view.  Every view holds
+#: dense probability rows (n floats per node), and above this size every
+#: bitmask op pays O(n / 64) words even deep in the tree where the
+#: candidate sets are tiny — so the search stages split a larger
+#: component in degeneracy order into one small view per vertex
+#: (:mod:`repro.core.decompose`, counted in the stats'
+#: ``decomposed_components``).
+KERNEL_COMPONENT_LIMIT = 1024
 
 
 #: Conservative relative safety margin on the pivot absorption test.
@@ -104,8 +101,11 @@ KERNEL_COMPONENT_LIMIT = _DENSE_ROW_LIMIT
 #: the greedy absorption computes ``CPr(R + T + {u})`` in its own
 #: (incremental) multiplication order, so the skip threshold is raised
 #: by more than the worst-case reassociation rounding error (bounded by
-#: ``#factors * 2^-53 < 1e-10`` within a component of <= 1024 nodes) —
-#: a skip can then never lose a clique the reference would emit.
+#: ``#factors * 2^-53 < 1e-10`` within a view of <= 1024 nodes — a whole
+#: component up to :data:`KERNEL_COMPONENT_LIMIT`, or one sub-problem of
+#: a decomposed component, whose candidates are one vertex plus its later
+#: neighbours) — a skip can then never lose a clique the reference would
+#: emit.
 _PIVOT_SAFETY = 1.0 + 1e-9
 
 
@@ -116,19 +116,26 @@ class CompiledComponent:
     library's deterministic node order, so ascending-id iteration
     reproduces the reference candidate order exactly.  The CSR rows
     (``row_offsets`` / ``nbr_ids`` / ``nbr_probs``) are sorted by
-    descending probability (ties by id) so a top-k scan reads a prefix;
-    they are the canonical state the constructor takes.
-    ``bits[i]`` caches ``1 << i`` (big-int shifts are not free), and
-    ``rows`` holds the dense probability rows for small components
-    (``None`` above :data:`_DENSE_ROW_LIMIT`).
+    descending probability so a top-k scan reads a prefix; they are the
+    canonical state the constructor takes.  ``bits[i]`` caches ``1 << i``
+    (big-int shifts are not free), and ``rows`` holds the dense
+    probability rows.
+
+    ``width`` is the id space of the masks and dense rows.  It equals
+    ``n`` for a component view; a sub-problem view
+    (:meth:`repro.core.decompose.DecompositionPlan.view`) has ids
+    ``n .. width-1`` for its *witnesses* — nodes with no row, label or
+    ``bits`` entry that appear only in the candidates' masks and rows, so
+    the leaf scan of :func:`enumerate_pivot_range` sees them.
+    ``full_mask`` spans all ``width`` ids.
 
     Compiled components are **picklable** — the process-parallel layer
     (:mod:`repro.core.parallel`) ships them to worker processes instead of
     graph objects.  Only the canonical state crosses the pipe: the node
-    labels and the CSR arrays (compact ``array`` buffers).  Every derived
-    form — bitmask rows, dense probability rows, int-keyed dicts, cached
-    bit singletons — is rebuilt on unpickle, which is faster than
-    serialising an O(n^2) float matrix and keeps the payload near the
+    labels, the CSR arrays (compact ``array`` buffers) and the width.
+    Every derived form — bitmask rows, dense probability rows, cached bit
+    singletons — is rebuilt on unpickle, which is faster than serialising
+    an O(n^2) float matrix and keeps the payload near the
     information-theoretic minimum.
     """
 
@@ -136,8 +143,8 @@ class CompiledComponent:
         "nodes",
         "index",
         "n",
+        "width",
         "adj",
-        "prob",
         "rows",
         "bits",
         "row_offsets",
@@ -152,48 +159,47 @@ class CompiledComponent:
         row_offsets: array[int],
         nbr_ids: array[int],
         nbr_probs: array[float],
+        width: int | None = None,
     ) -> None:
         n = len(order)
-        bits = [1 << i for i in range(n)]
+        width = n if width is None else width
+        shifts = [1 << i for i in range(width)]
         adj: list[int] = []
-        prob: list[dict[int, float]] = []
-        dense = n <= _DENSE_ROW_LIMIT
-        rows: list[list[float]] | None = [] if dense else None
+        rows: list[list[float]] = []
         for u in range(n):
-            row: dict[int, float] = {}
             mask = 0
+            flat = [0.0] * width
             for i in range(row_offsets[u], row_offsets[u + 1]):
                 j = nbr_ids[i]
-                row[j] = nbr_probs[i]
-                mask |= bits[j]
+                flat[j] = nbr_probs[i]
+                mask |= shifts[j]
             adj.append(mask)
-            prob.append(row)
-            if rows is not None:
-                flat = [0.0] * n
-                for j, p in row.items():
-                    flat[j] = p
-                rows.append(flat)
+            rows.append(flat)
         self.nodes = order
         self.index = {u: i for i, u in enumerate(order)}
         self.n = n
+        self.width = width
         self.adj = adj
-        self.prob = prob
         self.rows = rows
-        self.bits = bits
+        self.bits = shifts if width == n else shifts[:n]
         self.row_offsets = row_offsets
         self.nbr_ids = nbr_ids
         self.nbr_probs = nbr_probs
-        self.full_mask = (1 << n) - 1 if n else 0
+        self.full_mask = (1 << width) - 1
 
     def __getstate__(self) -> tuple[
-        list[Node], array[int], array[int], array[float]
+        list[Node], array[int], array[int], array[float], int
     ]:
-        # Labels + CSR only; all derived forms are rebuilt in __setstate__.
-        return (self.nodes, self.row_offsets, self.nbr_ids, self.nbr_probs)
+        # Labels + CSR + width; all derived forms are rebuilt in
+        # __setstate__.
+        return (
+            self.nodes, self.row_offsets, self.nbr_ids, self.nbr_probs,
+            self.width,
+        )
 
     def __setstate__(
         self,
-        state: tuple[list[Node], array[int], array[int], array[float]],
+        state: tuple[list[Node], array[int], array[int], array[float], int],
     ) -> None:
         CompiledComponent.__init__(self, *state)
 
@@ -203,19 +209,18 @@ class CompiledComponent:
         return frozenset(nodes[i] for i in iter_bits(mask))
 
 
-def derive_component_view(
+def project_component(
     compiled: CompiledGraph, members: list[Node]
-) -> CompiledComponent:
-    """Build a component's :class:`CompiledComponent` from the unified
-    whole-graph artifact, without touching the :class:`UncertainGraph`.
+) -> tuple[list[Node], array[int], array[int], array[float]]:
+    """A component's labels and search CSR, projected from the unified
+    whole-graph artifact without touching the :class:`UncertainGraph`.
 
     ``members`` must be the node set of one pipeline component of the
     graph ``compiled`` was lowered from: the pruning stage removes
     *nodes* (edges among survivors are untouched) and every edge the cut
     optimization removes crosses two final components — so filtering the
     whole-graph rows to ``members`` reproduces the component's adjacency
-    exactly.  The view is bit-identical to a from-scratch compile of the
-    component subgraph (``repro.reference.compile_component``):
+    exactly:
 
     * local ids renumber ``members`` by ascending ``sort_rank``, which
       restricted to any subset equals the component's own
@@ -224,21 +229,13 @@ def derive_component_view(
       lazily-sorted ``desc_row`` — ordered by
       ``(-probability, sort_rank)``, whose restriction to members *is*
       the component order ``(-probability, local_id)`` (local ids are
-      monotone in rank), with the identical float objects;
-    * every derived form (bitmask rows, dense rows, dicts) is rebuilt
-      from that CSR by the constructor, the same code the pickle path
-      uses.
+      monotone in rank), with the identical float objects.
 
-    Runs in ``O(sum of member degrees)`` — no sorting, no string keys —
-    which is what collapses the pipeline's second compile stage into a
-    cheap projection of the first.
-
-    The view is a deep **snapshot**: its arrays are freshly built, never
-    aliases of ``compiled``'s lists.  That independence is load-bearing
-    twice over — views are pickled to worker processes by the parallel
-    layer, and the session caches them per component while
-    :meth:`CompiledGraph.apply_delta` patches the source artifact's rows
-    *in place*; neither may observe later mutations.
+    Runs in ``O(sum of member degrees)`` — no sorting, no string keys.
+    The arrays are freshly built, never aliases of ``compiled``'s lists:
+    views are pickled to worker processes and cached per component while
+    :meth:`CompiledGraph.apply_delta` patches the source rows *in place*,
+    and neither may observe later mutations.
     """
     index = compiled.index
     rank = compiled.sort_rank
@@ -257,8 +254,23 @@ def derive_component_view(
                 nbr_ids.append(li)
                 nbr_probs.append(dps[j])
         row_offsets.append(len(nbr_ids))
-    return CompiledComponent(nodes, row_offsets, nbr_ids, nbr_probs)
+    return nodes, row_offsets, nbr_ids, nbr_probs
 
+
+def derive_component_view(
+    compiled: CompiledGraph, members: list[Node]
+) -> CompiledComponent:
+    """Build a component's :class:`CompiledComponent` from the unified
+    whole-graph artifact (:func:`project_component`).
+
+    The view is bit-identical to a from-scratch compile of the component
+    subgraph (``repro.reference.compile_component``): every derived form
+    (bitmask rows, dense rows) is rebuilt from the projected CSR by the
+    constructor, the same code the pickle path uses.  This is what
+    collapses the pipeline's second compile stage into a cheap
+    projection of the first.
+    """
+    return CompiledComponent(*project_component(compiled, members))
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -370,11 +382,6 @@ def pivot_root_plan(
     and ships it to every range task).
     """
     rows = comp.rows
-    if rows is None:
-        raise ValueError(
-            "pivot_root_plan requires a component within "
-            f"KERNEL_COMPONENT_LIMIT ({KERNEL_COMPONENT_LIMIT})"
-        )
     adj = comp.adj
     bits = comp.bits
     skip_mask = 0
@@ -448,13 +455,7 @@ def enumerate_pivot_range(
     ``range(len(branches))`` concatenates to the sequential result with
     stats summing to the sequential totals (``jobs=N`` bit-parity).
     """
-    n = comp.n
     rows = comp.rows
-    if rows is None:
-        raise ValueError(
-            "enumerate_pivot_range requires a component within "
-            f"KERNEL_COMPONENT_LIMIT ({KERNEL_COMPONENT_LIMIT}), got {n}"
-        )
     adj = comp.adj
     bits = comp.bits
     nodes = comp.nodes
@@ -733,8 +734,6 @@ def maximum_compiled(
     bookkeeping batched into local counters.
     """
     n = comp.n
-    adj = comp.adj
-    prob = comp.prob
     rows = comp.rows
     bits = comp.bits
     nodes = comp.nodes
@@ -783,11 +782,11 @@ def maximum_compiled(
         if use_advanced_two and clique:
             tightest: int | None = None
             for w in clique:
-                wrow = prob[w]
+                wrow = rows[w]
                 best_per_color = {}
                 for v in cids:
-                    p = wrow.get(v)
-                    if p is None:
+                    p = wrow[v]
+                    if not p:
                         continue  # v cannot join anyway; skip for w's budget
                     c = color[v]
                     if p > best_per_color.get(c, 0.0):
@@ -841,31 +840,17 @@ def maximum_compiled(
             new_ids: list[int] = []
             new_pis: list[float] = []
             new_mask = 0
-            if rows is not None:
-                urow = rows[u]
-                for j in range(i, nc):
-                    v = cids[j]
-                    p = urow[v]
-                    if p:
-                        piv = cpis[j] * p
-                        # Hot path: tau_floor = threshold_floor(tau).
-                        if new_prob * piv >= tau_floor:  # repro-lint: ignore[RPL001]
-                            new_ids.append(v)
-                            new_pis.append(piv)
-                            new_mask |= bits[v]
-            else:
-                drow = prob[u]
-                get = drow.get
-                for j in range(i, nc):
-                    v = cids[j]
-                    dp = get(v)
-                    if dp is not None:
-                        piv = cpis[j] * dp
-                        # Same precomputed-floor fast path, dict fallback.
-                        if new_prob * piv >= tau_floor:  # repro-lint: ignore[RPL001]
-                            new_ids.append(v)
-                            new_pis.append(piv)
-                            new_mask |= bits[v]
+            urow = rows[u]
+            for j in range(i, nc):
+                v = cids[j]
+                p = urow[v]
+                if p:
+                    piv = cpis[j] * p
+                    # Hot path: tau_floor = threshold_floor(tau).
+                    if new_prob * piv >= tau_floor:  # repro-lint: ignore[RPL001]
+                        new_ids.append(v)
+                        new_pis.append(piv)
+                        new_mask |= bits[v]
             clique.append(u)
             search(
                 clique, clique_mask | bits[u], new_prob, new_ids, new_pis,

@@ -52,6 +52,11 @@ class MaximumSearchStats:
     ``__post_init__``) holding per-phase wall-clock seconds; keeping it
     out of the fields keeps ``asdict``/``==`` over the deterministic
     counters only (the parity suite and the bench check compare those).
+
+    ``decomposed_components`` counts the components above
+    ``KERNEL_COMPONENT_LIMIT`` the search reached and split in degeneracy
+    order, and ``subproblems`` the per-vertex sub-problems it searched
+    there (those the incumbent did not dominate).
     """
 
     search_calls: int = 0
@@ -63,6 +68,8 @@ class MaximumSearchStats:
     pivot_branches: int = 0
     pivot_skipped: int = 0
     best_size: int = 0
+    decomposed_components: int = 0
+    subproblems: int = 0
 
     def __post_init__(self) -> None:
         self.timings: Stopwatch = Stopwatch()
@@ -257,7 +264,9 @@ def max_uc_plus(
     The ``use_advanced_*`` and ``insearch`` switches exist for the
     ablation benchmarks; the defaults reproduce the paper's ``MaxUC+``.
     Every component is searched by the compiled branch-and-bound of
-    :func:`repro.core.kernel.maximum_compiled`; the search never pivots
+    :func:`repro.core.kernel.maximum_compiled` — a component above
+    ``KERNEL_COMPONENT_LIMIT`` one degeneracy sub-problem at a time
+    (:mod:`repro.core.decompose`); the search never pivots
     (its DFS-first answer depends on branch order), so the pivot
     counters stay zero.  ``jobs`` fans the per-component searches over
     worker processes (``1`` in-process, ``None`` = ``os.cpu_count()``,

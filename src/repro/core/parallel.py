@@ -48,6 +48,12 @@ sequential semantics with a speculative two-phase scheme:
    so the merged counters equal the sequential ones exactly.  Components
    whose sequential incumbent *is* ``k`` reuse their Phase A stats.
 
+A component above the kernel size limit is decomposed
+(:mod:`repro.core.decompose`) and never shipped: the driver searches it
+in place — the enumeration interleaves its sub-problems with the
+consumer, and the maximum search runs it under the exact sequential
+incumbent while replaying the chain, so it needs no Phase B.
+
 The price of speculation is bounded re-search of non-first components;
 in the benchmark graphs one skewed component dominates the runtime, so
 the overlap is small compared to the fan-out win.
@@ -59,7 +65,14 @@ import os
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Iterator, Sequence
 
-from repro.core.enumeration import EnumerationStats, _muc_component
+from repro.core.decompose import (
+    DecomposedMaximum,
+    DecompositionPlan,
+    MaximumEntry,
+    enumerate_decomposed,
+    maximum_decomposed,
+)
+from repro.core.enumeration import EnumerationStats
 from repro.core.kernel import (
     CompiledComponent,
     enum_root_prep,
@@ -178,7 +191,7 @@ def _pivot_task(
 
 def enumerate_parallel(
     components: Sequence[UncertainGraph],
-    compiled: Sequence[CompiledComponent | None],
+    compiled: Sequence[CompiledComponent | DecompositionPlan | None],
     k: int,
     tau_floor: float,
     min_size: int,
@@ -198,31 +211,32 @@ def enumerate_parallel(
     bookkeeping per component, workers count their range, and ``merge``
     folds the rest back in.
 
-    ``compiled`` is the compile-stage artifact (one
-    :class:`CompiledComponent` per searchable component, ``None`` for
-    components outside ``[min_size, component_limit]``, as produced by
-    :func:`repro.core.pipeline.compile_enumeration_stage`).  Each
-    component's root *branch list* comes from
-    :func:`repro.core.kernel.pivot_root_plan`, run once in the driver,
-    so the replayed root state of every range honors the root pivot's
-    absorption.  Components above ``component_limit`` run the ``_muc``
-    fallback in the driver process (its generator is interleaved with
-    the consumer, so it cannot be shipped) while the pool keeps chewing
-    on compiled tasks.
+    ``compiled`` is the compile-stage artifact of
+    :func:`repro.core.pipeline.compile_enumeration_stage`: a
+    :class:`CompiledComponent` per component the kernel searches whole,
+    a :class:`~repro.core.decompose.DecompositionPlan` per component
+    above ``component_limit``, ``None`` for components below
+    ``min_size``.  Each compiled component's root *branch list* comes
+    from :func:`repro.core.kernel.pivot_root_plan`, run once in the
+    driver, so the replayed root state of every range honors the root
+    pivot's absorption.  A decomposed component runs in the driver
+    process, one sub-problem at a time and interleaved with the consumer
+    exactly as in the sequential loop, while the pool keeps chewing on
+    compiled tasks.
     """
-    # One slot per searched component, in order: either the oversized
-    # fallback or the list of branch-range payloads.
-    fallback_slot: dict[int, UncertainGraph] = {}
+    # One slot per searched component, in order: either a decomposition
+    # plan or the list of branch-range payloads.
+    plan_slot: dict[int, DecompositionPlan] = {}
     task_slot: dict[int, list[tuple[CompiledComponent, list[tuple[int, float]], list[int], int, int]]] = {}
     slot_order: list[int] = []
     for ordinal, component in enumerate(components):
         if component.num_nodes < min_size:
             continue
-        if component.num_nodes > component_limit:
-            fallback_slot[ordinal] = component
+        comp = compiled[ordinal]
+        if isinstance(comp, DecompositionPlan):
+            plan_slot[ordinal] = comp
             slot_order.append(ordinal)
             continue
-        comp = compiled[ordinal]
         assert comp is not None  # min_size <= n <= component_limit
         cands = enum_root_prep(
             comp, k, tau_floor, min_size, insearch,
@@ -247,14 +261,17 @@ def enumerate_parallel(
         ]
         slot_order.append(ordinal)
 
+    def decomposed(ordinal: int) -> Iterator[frozenset[Node]]:
+        return enumerate_decomposed(
+            plan_slot[ordinal], k, tau_floor, min_size, insearch,
+            insearch_min_candidates, stats,
+        )
+
     if not task_slot:
-        # Nothing to ship: run any oversized fallbacks and return without
-        # paying for a worker pool.
+        # Nothing to ship: run any decomposed components and return
+        # without paying for a worker pool.
         for ordinal in slot_order:
-            yield from _muc_component(
-                fallback_slot[ordinal], k, tau_floor, min_size, insearch,
-                stats,
-            )
+            yield from decomposed(ordinal)
         return
 
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
@@ -269,11 +286,8 @@ def enumerate_parallel(
             for ordinal, tasks in task_slot.items()
         }
         for ordinal in slot_order:
-            if ordinal in fallback_slot:
-                yield from _muc_component(
-                    fallback_slot[ordinal], k, tau_floor, min_size,
-                    insearch, stats,
-                )
+            if ordinal in plan_slot:
+                yield from decomposed(ordinal)
                 continue
             for future in futures[ordinal]:
                 cliques, task_stats = future.result()
@@ -308,7 +322,7 @@ def _max_task(
 
 def maximum_parallel(
     components: Sequence[UncertainGraph],
-    precompiled: Sequence[tuple[CompiledComponent, list[int]] | None],
+    precompiled: Sequence[MaximumEntry | None],
     k: int,
     tau_floor: float,
     min_size: int,
@@ -324,29 +338,30 @@ def maximum_parallel(
     loop would, with ``stats`` counters identical to ``jobs=1`` — see
     the module docstring for the speculative two-phase argument.
 
-    ``precompiled`` is the compile-stage artifact: one ``(compiled
-    component, color array)`` pair per component with more than ``k``
-    nodes (anything smaller is skipped under every incumbent the chain
-    can produce), ``None`` for the rest.
+    ``precompiled`` is the compile-stage artifact: one entry per
+    component with more than ``k`` nodes (anything smaller is skipped
+    under every incumbent the chain can produce), ``None`` for the rest.
+    An entry is a ``(compiled component, color array)`` pair, or a
+    :class:`~repro.core.decompose.DecomposedMaximum` for a component
+    above the kernel size limit.  Decomposed components never go to the
+    pool: the driver searches them while replaying the incumbent chain,
+    under the exact sequential incumbent, so their counters need no
+    re-measurement.
     """
-    compiled: list[tuple[UncertainGraph, CompiledComponent, list[int]] | None] = [
-        (component, entry[0], entry[1]) if entry is not None else None
-        for component, entry in zip(components, precompiled)
-    ]
-
     best: list[Node] | None = None
     best_size = k
-    if not any(entry is not None for entry in compiled):
+    if not any(entry is not None for entry in precompiled):
         return best, best_size
 
-    final_stats: list[MaximumSearchStats | None] = [None] * len(compiled)
+    final_stats: list[MaximumSearchStats | None] = [None] * len(precompiled)
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        # Phase A: every eligible component, speculative incumbent k.
+        # Phase A: every eligible compiled component, speculative
+        # incumbent k.
         phase_a: dict[int, Future[tuple[list[Node] | None, int, MaximumSearchStats]]] = {}
-        for i, entry in enumerate(compiled):
-            if entry is None:
+        for i, entry in enumerate(precompiled):
+            if entry is None or isinstance(entry, DecomposedMaximum):
                 continue
-            _, comp, color = entry
+            comp, color = entry
             phase_a[i] = pool.submit(
                 _max_task, comp, color, k, tau_floor, min_size, k,
                 use_advanced_one, use_advanced_two, insearch,
@@ -354,13 +369,23 @@ def maximum_parallel(
         results_a = {i: future.result() for i, future in phase_a.items()}
 
         # Replay the sequential incumbent chain from the Phase A sizes.
-        rerun: list[tuple[int, int]] = []
-        for i, entry in enumerate(compiled):
+        rerun: list[tuple[int, int, tuple[CompiledComponent, list[int]]]] = []
+        for i, entry in enumerate(precompiled):
             if entry is None:
                 continue
-            component, _, _ = entry
-            if component.num_nodes <= best_size:
+            if components[i].num_nodes <= best_size:
                 continue  # the sequential loop skips it: no search, no stats
+            if isinstance(entry, DecomposedMaximum):
+                entry_stats = MaximumSearchStats()
+                improved, best_size = maximum_decomposed(
+                    entry, k, tau_floor, min_size, best_size,
+                    use_advanced_one, use_advanced_two, insearch,
+                    entry_stats,
+                )
+                final_stats[i] = entry_stats
+                if improved is not None:
+                    best = improved
+                continue
             a_best, a_size, a_stats = results_a[i]
             if best_size == k:
                 # Phase A ran with exactly the sequential incumbent —
@@ -375,23 +400,18 @@ def maximum_parallel(
                 # known — a_size is the component's true maximum when it
                 # beats k, and B&B under any smaller incumbent finds the
                 # same first maximum-size clique in DFS order.
-                rerun.append((i, best_size))
+                rerun.append((i, best_size, entry))
                 if a_best is not None and a_size > best_size:
                     best = a_best
                     best_size = a_size
 
         # Phase B: exact sequential stats for the re-measured components.
         phase_b = [
-            (
-                i,
-                pool.submit(
-                    _max_task, compiled_entry[1], compiled_entry[2], k,
-                    tau_floor, min_size, incumbent, use_advanced_one,
-                    use_advanced_two, insearch,
-                ),
-            )
-            for i, incumbent in rerun
-            if (compiled_entry := compiled[i]) is not None
+            (i, pool.submit(
+                _max_task, comp, color, k, tau_floor, min_size, incumbent,
+                use_advanced_one, use_advanced_two, insearch,
+            ))
+            for i, incumbent, (comp, color) in rerun
         ]
         for i, future in phase_b:
             _, _, b_stats = future.result()

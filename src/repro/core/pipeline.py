@@ -18,7 +18,9 @@ parameters to a deterministic artifact:
   per-component search preparation: the picklable
   :class:`~repro.core.kernel.CompiledComponent` views (plus color arrays
   for the maximum search), *derived* from the :func:`compile_stage`
-  artifact (member-filtered rows, no recompilation).
+  artifact (member-filtered rows, no recompilation), or for a component
+  above the kernel size limit its
+  :class:`~repro.core.decompose.DecompositionPlan`.
 * :func:`enumeration_search_stage` / :func:`maximum_search_stage` — the
   actual search, sequential or process-parallel, consuming the compile
   artifacts.
@@ -42,7 +44,15 @@ from time import perf_counter
 from typing import AbstractSet, Iterator, Sequence
 
 from repro.core.cut_pruning import compiled_cut, component_pieces
-from repro.core.enumeration import EnumerationStats, _muc_component
+from repro.core.decompose import (
+    DecomposedMaximum,
+    DecompositionPlan,
+    MaximumEntry,
+    enumerate_decomposed,
+    maximum_decomposed,
+    plan_decomposition,
+)
+from repro.core.enumeration import EnumerationStats
 from repro.core.kernel import (
     CompiledComponent,
     derive_component_view,
@@ -61,6 +71,7 @@ from repro.core.prune_kernel import (
 from repro.deterministic.coloring import greedy_coloring
 from repro.uncertain.graph import Node, UncertainGraph
 from repro.utils.timing import Stopwatch
+from repro.utils.validation import threshold_floor
 
 __all__ = [
     "CutArtifact",
@@ -202,52 +213,101 @@ def _component_view(
     return derive_component_view(artifact, list(component.nodes()))
 
 
+def _decomposition_plan(
+    plans: dict[int, DecompositionPlan] | None,
+    ordinal: int,
+    component: UncertainGraph,
+    artifact: CompiledGraph,
+    min_size: int,
+    tau: float,
+) -> DecompositionPlan:
+    """The decomposition plan of one component, from the ``plans`` memo
+    (ordinal -> plan) when it holds one, else planned and memoized."""
+    plan = plans.get(ordinal) if plans is not None else None
+    if plan is None:
+        plan = plan_decomposition(
+            artifact, list(component.nodes()), min_size, tau
+        )
+        if plans is not None:
+            plans[ordinal] = plan
+    return plan
+
+
 def compile_enumeration_stage(
     components: Sequence[UncertainGraph],
     min_size: int,
     component_limit: int,
     artifact: CompiledGraph,
-) -> tuple[CompiledComponent | None, ...]:
-    """Derive the view of each component the pivot kernel will search.
+    tau: float,
+    plans: dict[int, DecompositionPlan] | None = None,
+) -> tuple[CompiledComponent | DecompositionPlan | None, ...]:
+    """Derive what the enumeration search needs for each component.
 
-    One slot per component, in order: a picklable
-    :class:`~repro.core.kernel.CompiledComponent` when the component is
-    searchable by the compiled kernel (``min_size <= n <= limit``), else
-    ``None`` — the search stage re-derives *why* a slot is ``None`` from
-    the component size (too small: skipped; too large: the ``_muc``
-    fallback).  ``artifact`` is the :func:`compile_stage` whole-graph
-    lowering the views are projected from.
+    One slot per component, in order: ``None`` for a component too small
+    to hold a clique (``n < min_size``); a picklable
+    :class:`~repro.core.kernel.CompiledComponent` for one the pivot
+    kernel searches whole (``n <= component_limit``); and for a larger
+    one its :class:`~repro.core.decompose.DecompositionPlan` at
+    ``(min_size, tau)``, whose sub-problem views the search stage builds
+    one at a time.  ``artifact`` is the :func:`compile_stage`
+    whole-graph lowering everything is projected from; ``plans`` is an
+    optional memo of plans by component ordinal, shared with
+    :func:`maximum_search_stage` over the same components so a plan is
+    built once for both searches.
     """
-    compiled: list[CompiledComponent | None] = []
-    for component in components:
-        if min_size <= component.num_nodes <= component_limit:
+    compiled: list[CompiledComponent | DecompositionPlan | None] = []
+    for ordinal, component in enumerate(components):
+        n = component.num_nodes
+        if n < min_size:
+            compiled.append(None)
+        elif n <= component_limit:
             compiled.append(_component_view(component, artifact))
         else:
-            compiled.append(None)
+            compiled.append(_decomposition_plan(
+                plans, ordinal, component, artifact, min_size, tau
+            ))
     return tuple(compiled)
 
 
 def _maximum_entry(
-    component: UncertainGraph, artifact: CompiledGraph
-) -> tuple[CompiledComponent, list[int]]:
-    """A component's view plus its greedy coloring in view id order."""
-    comp = _component_view(component, artifact)
+    component: UncertainGraph,
+    artifact: CompiledGraph,
+    min_size: int,
+    tau: float,
+    component_limit: int,
+    plans: dict[int, DecompositionPlan] | None,
+    ordinal: int,
+) -> MaximumEntry:
+    """A component's view plus its greedy coloring in view id order, or
+    for a component above ``component_limit`` its decomposition plan
+    (through the ``plans`` memo at ``ordinal``) with the coloring in
+    component id order."""
     coloring = greedy_coloring(component)
+    if component.num_nodes > component_limit:
+        plan = _decomposition_plan(
+            plans, ordinal, component, artifact, min_size, tau
+        )
+        return DecomposedMaximum(plan, [coloring[u] for u in plan.nodes])
+    comp = _component_view(component, artifact)
     return comp, [coloring[u] for u in comp.nodes]
 
 
 def compile_maximum_stage(
     components: Sequence[UncertainGraph],
     k: int,
+    tau: float,
+    component_limit: int,
     artifact: CompiledGraph,
-) -> tuple[tuple[CompiledComponent, list[int]] | None, ...]:
+) -> tuple[MaximumEntry | None, ...]:
     """Eagerly compile each component the maximum search could visit.
 
     A component can only be searched when it beats the starting incumbent
     (``n > k``); eligible slots hold the compiled component plus its
     greedy-coloring mapped onto the compiled node order (the exact pair
     :func:`repro.core.kernel.maximum_compiled` consumes and the parallel
-    layer ships to workers).
+    layer ships to workers), or a
+    :class:`~repro.core.decompose.DecomposedMaximum` above
+    ``component_limit``.
 
     This is the eager whole-front variant; the session layer instead
     memoizes on demand through :func:`maximum_search_stage`, because the
@@ -255,9 +315,11 @@ def compile_maximum_stage(
     and never needs their compile.
     """
     return tuple(
-        _maximum_entry(component, artifact)
+        _maximum_entry(
+            component, artifact, k + 1, tau, component_limit, None, ordinal
+        )
         if component.num_nodes > k else None
-        for component in components
+        for ordinal, component in enumerate(components)
     )
 
 
@@ -285,7 +347,7 @@ def _timed_search(
 
 def enumeration_search_stage(
     components: Sequence[UncertainGraph],
-    compiled: Sequence[CompiledComponent | None],
+    compiled: Sequence[CompiledComponent | DecompositionPlan | None],
     k: int,
     tau_floor: float,
     min_size: int,
@@ -298,8 +360,9 @@ def enumeration_search_stage(
     """Run the per-component enumeration over the compile artifacts.
 
     Components are searched in order: a compiled view through the pivot
-    kernel, a component above ``component_limit`` through the ``_muc``
-    dict recursion (counted in ``stats.fallback_components``), and
+    kernel, a component above ``component_limit`` through its
+    decomposition plan (one sub-problem view at a time, yielding after
+    each; counted in ``stats.decomposed_components``), and
     ``n_jobs > 1`` through the deterministic-merge parallel layer, which
     yields the sequential sequence.  All counters accrue to ``stats`` on
     every run (they are never part of a cached artifact).
@@ -319,17 +382,16 @@ def enumeration_search_stage(
     for ordinal, component in enumerate(components):
         if component.num_nodes < min_size:
             continue
-        if component.num_nodes > component_limit:
-            # Size-selected fallback: the dict recursion, interleaved
-            # with the consumer.
+        comp = compiled[ordinal]
+        if isinstance(comp, DecompositionPlan):
             yield from _timed_search(
-                _muc_component(
-                    component, k, tau_floor, min_size, insearch, stats
+                enumerate_decomposed(
+                    comp, k, tau_floor, min_size, insearch,
+                    insearch_min_candidates, stats,
                 ),
                 stats.timings,
             )
             continue
-        comp = compiled[ordinal]
         assert comp is not None  # min_size <= n <= component_limit
         t_start = perf_counter()
         out: list[frozenset[Node]] = []
@@ -351,14 +413,18 @@ def enumeration_search_stage(
 
 
 def _compiled_maximum_entry(
-    memo: dict[int, tuple[CompiledComponent, list[int]]] | None,
+    memo: dict[int, MaximumEntry] | None,
     ordinal: int,
     component: UncertainGraph,
     stats: MaximumSearchStats,
     artifact: CompiledGraph,
-) -> tuple[CompiledComponent, list[int]]:
-    """The (compiled component, color list) pair for one component,
-    derived on demand and memoized.
+    min_size: int,
+    tau: float,
+    component_limit: int,
+    plans: dict[int, DecompositionPlan] | None,
+) -> MaximumEntry:
+    """The maximum-search entry for one component, derived on demand and
+    memoized.
 
     Derivation stays **lazy with respect to the evolving incumbent**:
     a component is only compiled once the search actually reaches it
@@ -369,7 +435,10 @@ def _compiled_maximum_entry(
     entry = memo.get(ordinal) if memo is not None else None
     if entry is None:
         t_start = perf_counter()
-        entry = _maximum_entry(component, artifact)
+        entry = _maximum_entry(
+            component, artifact, min_size, tau, component_limit, plans,
+            ordinal,
+        )
         stats.timings.add("compile", perf_counter() - t_start)
         if memo is not None:
             memo[ordinal] = entry
@@ -378,39 +447,50 @@ def _compiled_maximum_entry(
 
 def maximum_search_stage(
     components: Sequence[UncertainGraph],
-    compiled: dict[int, tuple[CompiledComponent, list[int]]] | None,
+    compiled: dict[int, MaximumEntry] | None,
     k: int,
-    tau_floor: float,
+    tau: float,
     min_size: int,
     use_advanced_one: bool,
     use_advanced_two: bool,
     insearch: bool,
     n_jobs: int,
+    component_limit: int,
     stats: MaximumSearchStats,
     artifact: CompiledGraph,
+    plans: dict[int, DecompositionPlan] | None = None,
 ) -> tuple[list[Node] | None, int]:
     """Run the MaxUC+ component loop, compiling on demand into the memo.
 
     Returns ``(best, best_size)``: components in order under the evolving
-    incumbent, each through :func:`repro.core.kernel.maximum_compiled`,
-    ``n_jobs > 1`` through the two-phase speculative parallel layer.
+    incumbent, each through :func:`repro.core.kernel.maximum_compiled` —
+    a component above ``component_limit`` through
+    :func:`repro.core.decompose.maximum_decomposed`, one sub-problem view
+    per vertex the incumbent does not dominate — and ``n_jobs > 1``
+    through the two-phase speculative parallel layer.
 
     ``compiled`` is a mutable memo dict (ordinal -> compile artifact),
     filled lazily as the incumbent chain reaches components — the
     session layer caches the dict object, so a warm run finds the cold
     run's entries and the cold run never compiles a component the
-    incumbent skips.  The search path is deterministic, so which
-    ordinals get filled is too.  Pass ``None`` to disable memoization.
+    incumbent skips.  A decomposed component's entry memoizes the
+    sub-problem views its search builds.  The search path is
+    deterministic, so which ordinals get filled is too.  Pass ``None``
+    to disable memoization.  ``plans`` is the decomposition-plan memo
+    :func:`compile_enumeration_stage` also reads, by the same ordinals.
     """
+    tau_floor = threshold_floor(tau)
     if n_jobs > 1:
         from repro.core.parallel import maximum_parallel
 
         # The speculative phase A searches every eligible component, so
         # the full precompile is real work, not waste; route it through
         # the memo so a sequential warm run still benefits.
-        precompiled: list[tuple[CompiledComponent, list[int]] | None] = [
-            _compiled_maximum_entry(compiled, ordinal, component, stats,
-                                    artifact)
+        precompiled: list[MaximumEntry | None] = [
+            _compiled_maximum_entry(
+                compiled, ordinal, component, stats, artifact, min_size,
+                tau, component_limit, plans,
+            )
             if component.num_nodes > k
             else None
             for ordinal, component in enumerate(components)
@@ -428,14 +508,22 @@ def maximum_search_stage(
     for ordinal, component in enumerate(components):
         if component.num_nodes <= best_size:
             continue
-        comp, color = _compiled_maximum_entry(
-            compiled, ordinal, component, stats, artifact
+        entry = _compiled_maximum_entry(
+            compiled, ordinal, component, stats, artifact, min_size, tau,
+            component_limit, plans,
         )
         t_start = perf_counter()
-        improved, best_size = maximum_compiled(
-            comp, color, k, tau_floor, min_size, best_size,
-            use_advanced_one, use_advanced_two, insearch, stats,
-        )
+        if isinstance(entry, DecomposedMaximum):
+            improved, best_size = maximum_decomposed(
+                entry, k, tau_floor, min_size, best_size,
+                use_advanced_one, use_advanced_two, insearch, stats,
+            )
+        else:
+            comp, color = entry
+            improved, best_size = maximum_compiled(
+                comp, color, k, tau_floor, min_size, best_size,
+                use_advanced_one, use_advanced_two, insearch, stats,
+            )
         stats.timings.add("search", perf_counter() - t_start)
         if improved is not None:
             best = improved

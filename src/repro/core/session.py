@@ -568,6 +568,36 @@ class PreparedGraph:
                 frozenset(u for u in members if u in core),
             )
 
+    def _plan_memo(
+        self,
+        cid: int,
+        epoch: int,
+        pruning: str,
+        cut: bool,
+        k: int,
+        tau: float,
+        component_limit: int,
+        components: Sequence[UncertainGraph],
+    ) -> dict[int, Any] | None:
+        """The decomposition-plan memo of one graph component's search
+        components (local ordinal -> plan), or ``None`` when none of
+        them is above ``component_limit``.
+
+        Enumeration and maximum queries at the same ``(k, tau)`` with
+        the ``topk`` rule and the cut share the search components, so
+        they share this memo and a plan is built once for both.
+        """
+        if all(c.num_nodes <= component_limit for c in components):
+            return None
+        key = (
+            "c", cid, epoch, "plans", pruning, cut, k, tau, component_limit,
+        )
+        plans = self._lookup(key)
+        if plans is _MISSING:
+            plans = {}
+            self._store(key, plans)
+        return plans
+
     # ------------------------------------------------------------------
     # Queries: enumeration
     # ------------------------------------------------------------------
@@ -599,7 +629,8 @@ class PreparedGraph:
         version = self._graph.version
         n_jobs = resolve_jobs(jobs)
         # Read from the enumeration module at call time: tests monkeypatch
-        # both the in-search gate and the kernel size limit there.
+        # both the in-search gate and the kernel size limit there (the
+        # limit picks whole-component views or the decomposition).
         insearch_min_candidates = _enumeration_mod._INSEARCH_MIN_CANDIDATES
         component_limit = _enumeration_mod.KERNEL_COMPONENT_LIMIT
 
@@ -636,10 +667,14 @@ class PreparedGraph:
                     artifact = self._compiled_artifact(
                         version, stats.timings
                     )
+                plans = self._plan_memo(
+                    cid, epoch, pruning, cut, k, tau, component_limit,
+                    comp_components,
+                )
                 with stats.timings.lap("compile"):
                     part_views = pipeline.compile_enumeration_stage(
                         comp_components, min_size, component_limit,
-                        artifact,
+                        artifact, tau, plans,
                     )
                 self._store(vkey, part_views)
             views.extend(part_views)
@@ -684,9 +719,9 @@ class PreparedGraph:
         tau = validate_tau(tau)
         stats = stats if stats is not None else MaximumSearchStats()
         min_size = k + 1
-        tau_floor = threshold_floor(tau)
         version = self._graph.version
         n_jobs = resolve_jobs(jobs)
+        component_limit = _enumeration_mod.KERNEL_COMPONENT_LIMIT
 
         art, parts = self._cut_artifact(
             version, "topk", True, k, tau, stats.timings
@@ -698,32 +733,45 @@ class PreparedGraph:
         # (what maximum_search_stage indexes by), and any entries the
         # search filled are written back to the per-component dicts
         # afterwards — so a mutation in one component keeps every other
-        # component's compiled entries warm.
-        part_memos: list[tuple[int, dict[int, Any]]] = []
+        # component's compiled entries warm.  The decomposition plans are
+        # merged and written back the same way.
+        part_memos: list[tuple[int, int, dict[int, Any], dict[int, Any]]] = []
         merged: dict[int, Any] = {}
+        merged_plans: dict[int, Any] = {}
         offset = 0
         for cid, epoch, comp_components in parts:
-            mkey = ("c", cid, epoch, "compile_max", k, tau)
+            mkey = ("c", cid, epoch, "compile_max", k, tau, component_limit)
             local = self._lookup(mkey)
             if local is _MISSING:
                 local = {}
                 self._store(mkey, local)
+            plans = self._plan_memo(
+                cid, epoch, "topk", True, k, tau, component_limit,
+                comp_components,
+            )
+            if plans is None:
+                plans = {}
             for loc, entry in local.items():
                 merged[offset + loc] = entry
-            part_memos.append((offset, local))
+            for loc, plan in plans.items():
+                merged_plans[offset + loc] = plan
+            part_memos.append((offset, len(comp_components), local, plans))
             offset += len(comp_components)
 
         artifact = self._compiled_artifact(version, stats.timings)
         best, best_size = pipeline.maximum_search_stage(
-            art.components, merged, k, tau_floor, min_size,
-            use_advanced_one, use_advanced_two, insearch, n_jobs, stats,
-            artifact,
+            art.components, merged, k, tau, min_size,
+            use_advanced_one, use_advanced_two, insearch, n_jobs,
+            component_limit, stats, artifact, merged_plans,
         )
-        for (off, local), (_, _, comp_components) in zip(part_memos, parts):
-            for loc in range(len(comp_components)):
+        for off, count, local, plans in part_memos:
+            for loc in range(count):
                 entry = merged.get(off + loc, _MISSING)
                 if entry is not _MISSING:
                     local[loc] = entry
+                plan = merged_plans.get(off + loc)
+                if plan is not None:
+                    plans[loc] = plan
         stats.best_size = best_size if best is not None else 0
         if best is None or len(best) < min_size:
             return None

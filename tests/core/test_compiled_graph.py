@@ -63,7 +63,7 @@ def assert_views_bit_identical(
     assert derived.adj == compiled.adj
     assert derived.full_mask == compiled.full_mask
     assert derived.rows == compiled.rows
-    assert derived.prob == compiled.prob
+    assert derived.width == compiled.width
     assert list(derived.row_offsets) == list(compiled.row_offsets)
     assert list(derived.nbr_ids) == list(compiled.nbr_ids)
     assert list(derived.nbr_probs) == list(compiled.nbr_probs)

@@ -17,7 +17,7 @@ from repro.core.cut_pruning import (
     _top_k_below,
 )
 from repro.core.prune_kernel import compile_graph
-from repro.core.enumeration import _insearch_topk_prune, _pi_k_ok
+from repro.reference.search import _insearch_topk_prune, _pi_k_ok
 from repro.utils.validation import FLOAT_EPS, prob_at_least, prob_below
 from tests.conftest import make_clique, make_random_graph
 

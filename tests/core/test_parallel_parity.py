@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.core.enumeration as enumeration_mod
 import repro.core.parallel as parallel_mod
-from repro import UncertainGraph
+from repro import UncertainGraph, reference
 from repro.core.enumeration import EnumerationStats, maximal_cliques
 from repro.core.kernel import (
     enum_root_prep,
@@ -120,11 +120,11 @@ def _two_triangles() -> UncertainGraph:
 
 def test_oversized_components_fall_back_and_interleave_in_order() -> None:
     # With the kernel limit squeezed below one component's size, jobs=2
-    # must route that component through the in-driver _muc fallback
-    # while the other still runs on the pool — and the merged output,
-    # counters included, must equal the squeezed sequential run.
+    # must decompose that component in the driver, one sub-problem view
+    # per vertex, while the other still runs on the pool — and the
+    # merged output, counters included, must equal the squeezed
+    # sequential run and the reference's clique set.
     graph = _two_triangles()
-    unsqueezed = set(maximal_cliques(graph, 2, 0.3))
     original = enumeration_mod.KERNEL_COMPONENT_LIMIT
     enumeration_mod.KERNEL_COMPONENT_LIMIT = 3
     try:
@@ -140,12 +140,44 @@ def test_oversized_components_fall_back_and_interleave_in_order() -> None:
         enumeration_mod.KERNEL_COMPONENT_LIMIT = original
     assert mixed == sequential
     assert asdict(mixed_stats) == asdict(sequential_stats)
-    # The 4-node component fell back, the triangle ran compiled.
-    assert sequential_stats.fallback_components == 1
-    assert set(sequential) == unsqueezed
+    # The 4-node component was decomposed: a's sub-problem holds the
+    # K4, b's finds {b, c, d} vetoed by its witness a, and c's and d's
+    # are too small for k = 2.  The triangle ran compiled.
+    assert sequential_stats.decomposed_components == 1
+    assert sequential_stats.subproblems == 2
+    assert len(sequential) == len(set(sequential))
+    assert set(sequential) == set(reference.maximal_cliques(graph, 2, 0.3))
     assert sequential.index(frozenset("abcd")) < sequential.index(
         frozenset("xyz")
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    graph=uncertain_graphs(),
+    k=st.integers(min_value=0, max_value=3),
+    tau=st.sampled_from(TAUS),
+    limit=st.sampled_from((0, 2, 3)),
+)
+def test_decomposed_maximum_jobs_parity(
+    graph: UncertainGraph, k: int, tau: float, limit: int
+) -> None:
+    # Decomposed components never go to the pool: the driver searches
+    # them under the sequential incumbent while replaying the chain, so
+    # answer and counters still equal jobs=1.
+    original = enumeration_mod.KERNEL_COMPONENT_LIMIT
+    enumeration_mod.KERNEL_COMPONENT_LIMIT = limit
+    try:
+        sequential_stats = MaximumSearchStats()
+        sequential = max_uc_plus(graph, k, tau, stats=sequential_stats)
+        parallel_stats = MaximumSearchStats()
+        parallel = max_uc_plus(
+            graph, k, tau, stats=parallel_stats, jobs=2
+        )
+    finally:
+        enumeration_mod.KERNEL_COMPONENT_LIMIT = original
+    assert parallel == sequential
+    assert asdict(parallel_stats) == asdict(sequential_stats)
 
 
 def test_range_partition_concatenates_to_sequential_output() -> None:
@@ -247,7 +279,7 @@ def test_compiled_component_pickle_roundtrip() -> None:
     assert clone.nodes == comp.nodes
     assert clone.index == comp.index
     assert clone.adj == comp.adj
-    assert clone.prob == comp.prob
+    assert clone.width == comp.width
     assert clone.rows == comp.rows
     assert clone.full_mask == comp.full_mask
     assert list(clone.row_offsets) == list(comp.row_offsets)

@@ -7,7 +7,8 @@ in subprocesses pinned to different hash seeds and require bit-identical
 output, guarding the fixes that build the anchored region from adjacency
 order instead of a set (``PreparedGraph.cliques_containing`` /
 ``containing_clique_exists``) and start every cut sweep at a piece's
-first member in graph order.
+first member in graph order, and order a decomposed component by
+degeneracy with ties broken by the library's node order.
 """
 
 from __future__ import annotations
@@ -169,3 +170,46 @@ def test_anchored_queries_are_hash_seed_invariant() -> None:
     assert payload["exists"] is True
     assert payload["order"], "fixture must actually yield cliques"
     assert all(["alpha" in clique for clique in payload["order"]])
+
+
+#: A string-labelled graph whose components are force-decomposed (the
+#: kernel limit at zero): the degeneracy order, the sub-problems and the
+#: yield order must not follow hash order.  Emits the enumeration order,
+#: its counters and the maximum clique.
+_DECOMPOSE_SCRIPT = """
+import itertools, json
+import repro.core.enumeration as enumeration_mod
+from repro import UncertainGraph, PreparedGraph
+from repro.core.enumeration import EnumerationStats
+
+enumeration_mod.KERNEL_COMPONENT_LIMIT = 0
+g = UncertainGraph()
+names = ["kilo", "alpha", "juliet", "bravo", "india", "carol", "hotel",
+         "delta", "golf", "echo", "foxtrot", "lima"]
+for i, (u, v) in enumerate(itertools.combinations(names, 2)):
+    if (i * 7) % 5 < 3:
+        g.add_edge(u, v, (0.55, 0.7, 0.7, 0.85, 1.0)[i % 5])
+stats = EnumerationStats()
+session = PreparedGraph(g)
+order = [sorted(c) for c in session.maximal_cliques(2, 0.05, stats=stats)]
+best = session.max_uc_plus(2, 0.05)
+print(json.dumps({
+    "order": order,
+    "counters": [stats.decomposed_components, stats.subproblems,
+                 stats.search_calls, stats.cliques],
+    "best": sorted(best),
+}))
+"""
+
+
+def test_decomposition_is_hash_seed_invariant() -> None:
+    outputs = {
+        _run_script(_DECOMPOSE_SCRIPT, seed) for seed in ("0", "1", "4242")
+    }
+    assert len(outputs) == 1, (
+        "decomposed output varies with PYTHONHASHSEED:\n"
+        + "\n".join(sorted(outputs))
+    )
+    payload = json.loads(next(iter(outputs)))
+    assert payload["counters"][0] >= 1
+    assert len(payload["order"]) > 1

@@ -15,7 +15,7 @@ from dataclasses import asdict, fields
 
 import pytest
 
-from repro import UncertainGraph
+from repro import UncertainGraph, reference
 import repro.core.enumeration as enumeration_mod
 from repro.core.enumeration import EnumerationStats, muce_plus_plus
 from repro.core.maximum import MaximumSearchStats, max_uc_plus
@@ -67,24 +67,29 @@ def test_maximum_merge_sums_counters_and_maxes_best_size() -> None:
 def test_pivot_counters_recorded_by_the_default_engine() -> None:
     # The pivot kernel searches every component within the kernel limit:
     # a dense component must record at least one absorbed (skipped)
-    # candidate.  The _muc fallback above the limit never pivots and
-    # counts the component in fallback_components instead.
+    # candidate.  Above the limit the component is decomposed: counted
+    # in decomposed_components, one sub-problem per vertex with enough
+    # later neighbours, and still the reference's cliques.
     graph = _triangle_graph()
     stats = EnumerationStats()
-    list(muce_plus_plus(graph, 1, 0.5, stats=stats))
+    found = set(muce_plus_plus(graph, 1, 0.5, stats=stats))
     assert stats.pivot_branches > 0
     assert stats.pivot_skipped > 0
-    assert stats.fallback_components == 0
+    assert stats.decomposed_components == stats.subproblems == 0
     original = enumeration_mod.KERNEL_COMPONENT_LIMIT
     enumeration_mod.KERNEL_COMPONENT_LIMIT = 0
     try:
-        fallback = EnumerationStats()
-        list(muce_plus_plus(graph, 1, 0.5, stats=fallback))
+        decomposed = EnumerationStats()
+        forced = list(muce_plus_plus(graph, 1, 0.5, stats=decomposed))
     finally:
         enumeration_mod.KERNEL_COMPONENT_LIMIT = original
-    assert fallback.pivot_branches == 0
-    assert fallback.pivot_skipped == 0
-    assert fallback.fallback_components == 1
+    oracle = reference.maximal_cliques(graph, 1, 0.5)
+    assert len(forced) == len(set(forced))
+    assert set(forced) == found == set(oracle)
+    assert decomposed.cliques == len(oracle)
+    assert decomposed.decomposed_components == 1
+    # Degeneracy order a, b, c, d, e: all but e have a later neighbour.
+    assert decomposed.subproblems == 4
 
 
 def test_merge_accumulates_timings_lap_wise() -> None:
@@ -132,26 +137,55 @@ def test_enumeration_records_phase_timings() -> None:
         assert stats.timings.seconds(phase) >= 0.0
 
 
-def test_fallback_component_records_search_lap(
+def test_decomposed_component_records_search_lap(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    # A component above the kernel limit runs the _muc fallback, which
-    # is a generator interleaved with the consumer: its search lap must
-    # be recorded, and must cover the generator's own work only — not
-    # the time the consumer spends between cliques.
+    # A component above the kernel limit is decomposed, and its
+    # sub-problems yield as they finish, interleaved with the consumer:
+    # the search lap must be recorded, and must cover the generator's
+    # own work only — not the time the consumer spends between cliques.
     monkeypatch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", 2)
+    graph = _graded_k6()
+    stats = EnumerationStats()
+    pause = 0.02
+    found = []
+    for clique in muce_plus_plus(graph, 1, 0.05, stats=stats):
+        time.sleep(pause)
+        found.append(clique)
+    assert stats.decomposed_components == 1
+    assert len(found) > 1
+    assert set(found) == set(reference.maximal_cliques(graph, 1, 0.05))
+    assert 0.0 < stats.timings.seconds("search") < pause * len(found)
+
+
+def test_abandoned_decomposed_enumeration_stops_early(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # Enumeration streams per sub-problem: a consumer that stops after
+    # the first clique leaves the later sub-problems unsearched, so it
+    # pays fewer search calls than a full run — and the lap of the work
+    # it did pay is still recorded.
+    monkeypatch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", 2)
+    graph = _graded_k6()
+    full = EnumerationStats()
+    assert len(list(muce_plus_plus(graph, 1, 0.05, stats=full))) > 1
+    partial = EnumerationStats()
+    search = muce_plus_plus(graph, 1, 0.05, stats=partial)
+    next(search)
+    search.close()
+    assert partial.decomposed_components == 1
+    assert 0 < partial.subproblems < full.subproblems
+    assert 0 < partial.search_calls < full.search_calls
+    assert "search" in partial.timings.laps
+
+
+def _graded_k6() -> UncertainGraph:
+    # Distinct edge probabilities: at tau = 0.05 the K6 splits into many
+    # maximal cliques, spread over several sub-problems.
     graph = UncertainGraph()
     for u, v in itertools.combinations(range(6), 2):
         graph.add_edge(u, v, 0.5 + 0.01 * (u + v))
-    stats = EnumerationStats()
-    pause = 0.02
-    consumed = 0
-    for _ in muce_plus_plus(graph, 1, 0.05, stats=stats):
-        time.sleep(pause)
-        consumed += 1
-    assert stats.fallback_components == 1
-    assert consumed > 1
-    assert 0.0 < stats.timings.seconds("search") < pause * consumed
+    return graph
 
 
 def test_maximum_records_phase_timings() -> None:
