@@ -13,8 +13,10 @@ stop being reachable.  The contract dies quietly at two kinds of site:
 * **RPL014** — the invalidation side of the same contract: a graph
   mutator that writes adjacency state without touching the component
   map/epoch bookkeeping (so component-scoped entries stay *reachable*
-  though stale), or a component-scoped cache key that carries the
-  component id without its epoch (same effect from the key side).
+  though stale) or without updating or dropping the graph-held
+  lowering (so the next compile copies stale rows), or a
+  component-scoped cache key that carries the component id without its
+  epoch (same effect from the key side).
 
 RPL012 inspects every cache/memo insertion (subscript store,
 ``.setdefault``, or a ``self._store(key, value)`` call — the session's
@@ -43,6 +45,9 @@ __all__ = ["ComponentEpochDiscipline", "UnversionedCacheKey"]
 
 #: Receiver-name fragments that mark a binding as a memoization table.
 _CACHE_NAME_FRAGMENTS = ("cache", "memo")
+
+#: The graph-held lowering slot every ``self._adj`` writer must keep.
+_LOWERING = "_lowering"
 
 #: Mutating-method names that count as writes when called on an
 #: adjacency mapping.
@@ -207,34 +212,44 @@ def _insertion_key(node: ast.AST) -> ast.expr | None:
     return None
 
 
-def _writes_adjacency(node: ast.AST) -> bool:
-    """Whether ``node`` is a statement/call that *writes* an ``_adj``
-    adjacency mapping (assignment into it, deletion from it, or a
-    mutating method call on it).  Exact-name match: ``t_adj`` and
-    friends do not count."""
-
-    def names_adj(expr: ast.AST) -> bool:
-        for current in ast.walk(expr):
-            if isinstance(current, ast.Attribute) and current.attr == "_adj":
-                return True
-            if isinstance(current, ast.Name) and current.id == "_adj":
-                return True
-        return False
-
-    if isinstance(node, ast.Assign):
-        return any(names_adj(target) for target in node.targets)
-    if isinstance(node, (ast.AugAssign, ast.Delete)):
-        targets = (
-            node.targets if isinstance(node, ast.Delete) else [node.target]
-        )
-        return any(names_adj(target) for target in targets)
-    if (
+def _adjacency_writes(node: ast.AST) -> list[ast.expr]:
+    """The expressions ``node`` writes that name an ``_adj`` adjacency
+    mapping (assignment into it, deletion from it, or a mutating method
+    call on it) — empty when ``node`` writes none.  Exact-name match:
+    ``t_adj`` and friends do not count."""
+    written: list[ast.expr]
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        written = node.targets
+    elif isinstance(node, ast.AugAssign):
+        written = [node.target]
+    elif (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and node.func.attr in _MUTATING_CALLS
     ):
-        return names_adj(node.func.value)
-    return False
+        written = [node.func.value]
+    else:
+        return []
+    return [
+        expr for expr in written
+        if any(
+            (isinstance(current, ast.Attribute) and current.attr == "_adj")
+            or (isinstance(current, ast.Name) and current.id == "_adj")
+            for current in ast.walk(expr)
+        )
+    ]
+
+
+def _is_own_adjacency(expr: ast.expr) -> bool:
+    """Whether ``expr`` reaches ``self._adj`` — the method's own graph,
+    as opposed to a fresh graph under construction (``clone._adj``)."""
+    return any(
+        isinstance(current, ast.Attribute)
+        and current.attr == "_adj"
+        and isinstance(current.value, ast.Name)
+        and current.value.id == "self"
+        for current in ast.walk(expr)
+    )
 
 
 class ComponentEpochDiscipline(ProjectRule):
@@ -250,6 +265,14 @@ class ComponentEpochDiscipline(ProjectRule):
       identifier containing ``comp`` or ``epoch``) somewhere in its
       body — a mutator that skips it leaves component-scoped cache
       entries reachable but stale;
+    * in the same module, once the graph keeps a lowering (a
+      ``_lowering`` slot or identifier), a function that writes its own
+      ``self._adj`` must mention ``_lowering`` too — update the rows or
+      drop them — or the next ``compile_graph`` copies rows of a graph
+      that no longer exists.  Writes to another graph's ``_adj``
+      (``clone._adj`` in ``copy``, ``sub._adj`` in
+      ``induced_subgraph``) build a fresh graph, whose lowering starts
+      empty;
     * in the session layer's reach (same scope as RPL012), a cache key
       that mentions a component id (``cid`` / ``comp``) without an
       ``epoch`` stays reachable across mutations of that component.
@@ -275,23 +298,43 @@ class ComponentEpochDiscipline(ProjectRule):
     def _check_graph_module(
         self, context: "FileContext"
     ) -> Iterator[Finding]:
+        # A ``__slots__`` entry or any ``_lowering`` identifier.
+        keeps_lowering = _mentions_fragment(
+            context.tree, (_LOWERING,)
+        ) or any(
+            isinstance(node, ast.Constant) and node.value == _LOWERING
+            for node in ast.walk(context.tree)
+        )
         for func in ast.walk(context.tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             writes = [
-                node for node in ast.walk(func) if _writes_adjacency(node)
+                node for node in ast.walk(func) if _adjacency_writes(node)
             ]
             if not writes:
                 continue
-            if _mentions_fragment(func, ("comp", "epoch")):
+            if not _mentions_fragment(func, ("comp", "epoch")):
+                yield self.finding(
+                    context,
+                    writes[0],
+                    "adjacency state written without touching the "
+                    "component map/epoch; component-scoped cache entries "
+                    "stay reachable but stale after this mutation",
+                )
+            if not keeps_lowering or _mentions_fragment(func, (_LOWERING,)):
                 continue
-            yield self.finding(
-                context,
-                writes[0],
-                "adjacency state written without touching the component "
-                "map/epoch; component-scoped cache entries stay reachable "
-                "but stale after this mutation",
-            )
+            own = [
+                node for node in writes
+                if any(map(_is_own_adjacency, _adjacency_writes(node)))
+            ]
+            if own:
+                yield self.finding(
+                    context,
+                    own[0],
+                    "adjacency state written without updating or dropping "
+                    "the graph-held lowering; the next compile_graph "
+                    "copies stale rows",
+                )
 
     def _check_cache_keys(self, context: "FileContext") -> Iterator[Finding]:
         for func in ast.walk(context.tree):

@@ -63,7 +63,7 @@ this contract, including ``p == 1.0`` edges and probabilities straddling
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from typing import AbstractSet, Any, Iterable, Sequence
 
 from repro.core.tau_degree import STABLE_P_LIMIT
@@ -110,12 +110,15 @@ class CompiledGraph:
       load-bearing: pruning discards most rows before any search looks
       at them, so an eager whole-graph descending sort would pay the
       (dominant) tuple-sort cost for nodes no query ever visits;
-    * ``asc_rows`` — one **ascending-sorted** probability list per row,
-      the precomputed form of the ``sorted(incident.values())`` lists
-      the (Top_k, tau)-core peel consumes (peels copy a row before
-      mutating it — compiled state is only ever appended to by the
-      lazy memos, never rewritten).  Equal floats are interchangeable,
-      so the value sequence matches the reference sort exactly.
+    * ``asc_rows`` — one **ascending-sorted** probability tuple per
+      row, the precomputed form of the ``sorted(incident.values())``
+      lists the (Top_k, tau)-core peel consumes.  A compile shares
+      these tuples with the graph's
+      :class:`~repro.uncertain.graph.Lowering`; they are immutable, and
+      :meth:`apply_delta` replaces a touched row rather than editing
+      it, so neither side can change the other's rows.  Equal floats
+      are interchangeable, so the value sequence matches the reference
+      sort exactly.
 
     ``sort_rank[i]`` is the position of node ``i`` in the library's
     deterministic :func:`node_sort_key` order over the whole graph.
@@ -137,10 +140,13 @@ class CompiledGraph:
 
     The compile is pure data tied to one graph ``version``; the session
     layer memoizes it under ``(version, "compile")`` so every prune and
-    every search of every query shares a single lowering.  The artifact
-    is **picklable** — only the node labels, the insertion-order CSR and
-    the version cross the pipe (``__getstate__``); every derived form is
-    rebuilt on unpickle.
+    every search of every query shares a single lowering.  Building one
+    is an ``O(n + m)`` copy of the rows the graph keeps
+    (:func:`compile_graph`); only the first compile after the graph's
+    construction or last mutation interns its dict adjacency.  The
+    artifact is **picklable** — only the node labels, the
+    insertion-order CSR and the version cross the pipe
+    (``__getstate__``); every derived form is rebuilt on unpickle.
     """
 
     __slots__ = (
@@ -164,32 +170,44 @@ class CompiledGraph:
         nbr_ids: list[int],
         nbr_probs: list[float],
         version: int,
+        index: dict[Node, int] | None = None,
+        asc_rows: list[tuple[float, ...]] | None = None,
     ) -> None:
         self.nodes = nodes
         self.row_offsets = row_offsets
         self.nbr_ids = nbr_ids
         self.nbr_probs = nbr_probs
         self.version = version
-        self._build_derived()
+        self._build_derived(index, asc_rows)
 
-    def _build_derived(self) -> None:
-        """Rebuild every derived form from the canonical flat state."""
+    def _build_derived(
+        self,
+        index: dict[Node, int] | None = None,
+        asc_rows: list[tuple[float, ...]] | None = None,
+    ) -> None:
+        """Build every derived form the caller did not supply from the
+        canonical flat state."""
         nodes = self.nodes
         n = len(nodes)
         self.n = n
-        self.index = {u: i for i, u in enumerate(nodes)}
+        if index is None:
+            index = {u: i for i, u in enumerate(nodes)}
+        self.index = index
         order = sorted(range(n), key=lambda i: node_sort_key(nodes[i]))
         rank = [0] * n
         for r, i in enumerate(order):
             rank[i] = r
         self.sort_rank = rank
-        rf = self.row_offsets
-        ps = self.nbr_probs
-        # Values only — cheap float sorts.  The id-carrying descending
-        # rows are per-row lazy (see desc_row); only survivors pay.
-        self.asc_rows = [
-            sorted(ps[rf[i]:rf[i + 1]]) for i in range(n)
-        ]
+        if asc_rows is None:
+            rf = self.row_offsets
+            ps = self.nbr_probs
+            # Values only — cheap float sorts.  The id-carrying
+            # descending rows are per-row lazy (see desc_row); only
+            # survivors pay.
+            asc_rows = [
+                tuple(sorted(ps[rf[i]:rf[i + 1]])) for i in range(n)
+            ]
+        self.asc_rows = asc_rows
         self._desc_rows: list[tuple[list[int], list[float]] | None] = (
             [None] * n
         )
@@ -337,10 +355,11 @@ class CompiledGraph:
         the slice contains an op the patcher does not support
         (``remove_node``), in which case the caller must re-lower.
 
-        Reweights are ``O(d + log d)`` (two row writes plus an
-        ascending-row bisect); structural single-edge ops splice the flat
-        lists (``O(m)`` worst case) — still far cheaper than a full
-        compile, which pays the per-row sorts on top.
+        Reweights are ``O(d)`` (two row writes plus two replaced
+        ascending tuples); structural single-edge ops splice the flat
+        lists and shift the later row offsets (``O(n + m)`` worst case)
+        — still cheaper than a full compile's per-row copy and
+        ``sort_rank`` sort, and untouched rows keep their memos.
         """
         ops = tuple(ops)
         for entry in ops:
@@ -377,7 +396,7 @@ class CompiledGraph:
         self.index[node] = i
         self.n = i + 1
         self.row_offsets.append(self.row_offsets[-1])
-        self.asc_rows.append([])
+        self.asc_rows.append(())
         self._desc_rows.append(None)
         # Appending a node shifts later sort ranks monotonically:
         # relative order of pre-existing nodes is preserved, so memoized
@@ -408,9 +427,9 @@ class CompiledGraph:
         self.nbr_probs[self._row_pos(iu, iv)] = new_p
         self.nbr_probs[self._row_pos(iv, iu)] = new_p
         for i in (iu, iv):
-            row = self.asc_rows[i]
-            row.pop(bisect_left(row, old_p))
-            insort(row, new_p)
+            self.asc_rows[i] = _insort_row(
+                _remove_row(self.asc_rows[i], old_p), new_p
+            )
             self._desc_rows[i] = None
         # Reweights leave the deterministic structure — and therefore the
         # memoized core numbers — untouched.
@@ -439,7 +458,7 @@ class CompiledGraph:
         self._splice_in(iu, iv, p)
         self._splice_in(iv, iu, p)
         for i in (iu, iv):
-            insort(self.asc_rows[i], p)
+            self.asc_rows[i] = _insort_row(self.asc_rows[i], p)
             self._desc_rows[i] = None
         self._core_ids = None
 
@@ -449,33 +468,46 @@ class CompiledGraph:
         self._splice_out(iu, iv)
         self._splice_out(iv, iu)
         for i in (iu, iv):
-            row = self.asc_rows[i]
-            row.pop(bisect_left(row, p))
+            self.asc_rows[i] = _remove_row(self.asc_rows[i], p)
             self._desc_rows[i] = None
         self._core_ids = None
 
 
-def compile_graph(graph: UncertainGraph) -> CompiledGraph:
-    """Lower ``graph`` into the unified :class:`CompiledGraph` (one pass).
+def _insort_row(row: tuple[float, ...], p: float) -> tuple[float, ...]:
+    """The ascending tuple ``row`` with ``p`` inserted (a new tuple)."""
+    at = bisect_left(row, p)
+    return row[:at] + (p,) + row[at:]
 
-    Runs in ``O(m log d_max)`` (the per-row sort dominates); the result
-    references nothing of the source graph, so later graph mutations
-    cannot corrupt it — the embedded ``version`` is what the session
-    layer keys the artifact by.
+
+def _remove_row(row: tuple[float, ...], p: float) -> tuple[float, ...]:
+    """The ascending tuple ``row`` with one ``p`` removed (a new tuple).
+
+    Equal floats in ``(0, 1]`` are bit-identical, so which of several
+    equal entries goes does not matter.
     """
-    nodes = tuple(graph.nodes())
-    index = {u: i for i, u in enumerate(nodes)}
-    row_offsets = [0]
-    nbr_ids: list[int] = []
-    nbr_probs: list[float] = []
-    id_of = index.__getitem__
-    for u in nodes:
-        inc = graph.incident(u)
-        nbr_ids.extend(map(id_of, inc))
-        nbr_probs.extend(inc.values())
-        row_offsets.append(len(nbr_ids))
-    return CompiledGraph(nodes, row_offsets, nbr_ids, nbr_probs,
-                         graph.version)
+    at = bisect_left(row, p)
+    return row[:at] + row[at + 1:]
+
+
+def compile_graph(graph: UncertainGraph) -> CompiledGraph:
+    """Lower ``graph`` into the unified :class:`CompiledGraph`.
+
+    The one lowering entry point.  It copies the graph's
+    :meth:`~repro.uncertain.graph.UncertainGraph.lowering` — an ``O(n +
+    m)`` copy of the flat CSR the graph holds — and sorts ``sort_rank``
+    (``O(n log n)``).  Only the first compile of a graph after its
+    construction or its last mutation pays the ``O(m log d_max)``
+    interning pass that builds those rows.  ``asc_rows`` shares the
+    graph's immutable row tuples; every list and dict is the artifact's
+    own, so later graph mutations cannot corrupt it — the embedded
+    ``version`` is what the session layer keys the artifact by.
+    """
+    lowering = graph.lowering()
+    return CompiledGraph(
+        tuple(lowering.index), list(lowering.row_offsets),
+        list(lowering.nbr_ids), list(lowering.nbr_probs), graph.version,
+        dict(lowering.index), list(lowering.asc),
+    )
 
 
 def project_rows(
@@ -922,7 +954,7 @@ def topk_peel(
             if i is not None and not condemned[i]:
                 is_fixed[i] = 1
 
-    def below(values: list[float]) -> bool:
+    def below(values: Sequence[float]) -> bool:
         # pi_k as the reference peel computes it: math.prod of the
         # ascending top-k slice multiplies left to right.
         nv = len(values)

@@ -13,8 +13,10 @@ keeps it that way).  It holds:
 * :mod:`~repro.reference.search` — the dict-based MUCE++ and MaxUC+
   drivers (Mukherjee et al.'s set-enumeration recursion on every
   component);
-* :mod:`~repro.reference.compile` — a from-scratch component compile,
-  the oracle for the views derived from the whole-graph artifact.
+* :mod:`~repro.reference.compile` — from-scratch compiles: a whole-graph
+  lowering, the oracle for the rows the graph keeps and the delta
+  patches, and a component compile, the oracle for the views derived
+  from the whole-graph artifact.
 """
 
 from repro.reference.bruteforce import (
@@ -22,7 +24,7 @@ from repro.reference.bruteforce import (
     brute_force_maximum_clique,
     brute_force_tau_degree,
 )
-from repro.reference.compile import compile_component
+from repro.reference.compile import compile_component, lower_graph
 from repro.reference.cut import cut_optimize
 from repro.reference.peels import dp_core, dp_core_plus, topk_core
 from repro.reference.search import max_uc_plus, maximal_cliques
@@ -32,6 +34,7 @@ __all__ = [
     "brute_force_maximum_clique",
     "brute_force_tau_degree",
     "compile_component",
+    "lower_graph",
     "cut_optimize",
     "dp_core",
     "dp_core_plus",

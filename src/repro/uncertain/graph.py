@@ -45,6 +45,19 @@ Each mutation is also appended to a bounded **mutation log**;
 versions (or reports the log no longer covers it), which is what lets
 :meth:`repro.core.prune_kernel.CompiledGraph.apply_delta` patch a
 compiled artifact in place instead of re-lowering the whole graph.
+
+Graph-held lowering
+-------------------
+The first :func:`repro.core.prune_kernel.compile_graph` of a graph
+interns its adjacency into a :class:`Lowering` — dense ids, the flat
+CSR and one ascending probability tuple per node — and the graph keeps
+it.  Every later compile of the unchanged graph copies
+those rows instead of re-interning the dict adjacency, so a graph that
+many sessions query is lowered once, not once per session.  Every
+mutator drops the lowering, so the first compile after a mutation
+lowers again (a session patches its compile through the mutation log
+instead, see above); ``copy()`` and ``induced_subgraph()`` start
+without one.
 """
 
 from __future__ import annotations
@@ -67,7 +80,63 @@ Node = Hashable
 #: unbounded mutation stream cannot grow memory.
 _MUTLOG_MAXLEN = 512
 
-__all__ = ["UncertainGraph", "Node"]
+__all__ = ["UncertainGraph", "Node", "Lowering"]
+
+
+class Lowering:
+    """A graph interned to dense ids: the rows ``compile_graph`` copies.
+
+    ``index`` maps each node to its dense id in graph iteration order, so
+    ``tuple(index)`` is the compiled node order.  ``row_offsets``,
+    ``nbr_ids`` and ``nbr_probs`` are the insertion-order CSR (row ``i``
+    is ``nbr_ids[row_offsets[i]:row_offsets[i + 1]]``, in ``incident()``
+    order, with the matching probabilities), and ``asc[i]`` holds row
+    ``i``'s probabilities sorted ascending.
+
+    Everything but ``index`` is a tuple: a compiled artifact can share
+    the ascending rows with the graph, the probabilities are the very
+    float objects stored in the adjacency dicts, and the garbage
+    collector stops tracking a tuple of ints or floats after one pass,
+    so the rows cost no collection time however long the graph lives.
+    A lowering is never updated: every mutator drops it
+    (:meth:`UncertainGraph.lowering` builds the next one on demand).
+    """
+
+    __slots__ = ("index", "row_offsets", "nbr_ids", "nbr_probs", "asc")
+
+    def __init__(
+        self,
+        index: dict[Node, int],
+        row_offsets: tuple[int, ...],
+        nbr_ids: tuple[int, ...],
+        nbr_probs: tuple[float, ...],
+        asc: tuple[tuple[float, ...], ...],
+    ) -> None:
+        self.index = index
+        self.row_offsets = row_offsets
+        self.nbr_ids = nbr_ids
+        self.nbr_probs = nbr_probs
+        self.asc = asc
+
+    @classmethod
+    def of(cls, adj: Mapping[Node, Mapping[Node, float]]) -> "Lowering":
+        """Intern ``adj`` in one pass over its entries."""
+        index = {u: i for i, u in enumerate(adj)}
+        id_of = index.__getitem__
+        row_offsets = [0]
+        nbr_ids: list[int] = []
+        nbr_probs: list[float] = []
+        asc: list[tuple[float, ...]] = []
+        for nbrs in adj.values():
+            nbr_ids.extend(map(id_of, nbrs))
+            ps = nbrs.values()
+            nbr_probs.extend(ps)
+            row_offsets.append(len(nbr_ids))
+            asc.append(tuple(sorted(ps)))
+        return cls(
+            index, tuple(row_offsets), tuple(nbr_ids), tuple(nbr_probs),
+            tuple(asc),
+        )
 
 
 class UncertainGraph:
@@ -91,6 +160,7 @@ class UncertainGraph:
         "_comp_epoch",
         "_next_comp",
         "_mutlog",
+        "_lowering",
     )
 
     def __init__(
@@ -113,6 +183,9 @@ class UncertainGraph:
         self._comp_epoch: dict[int, int] = {}
         self._next_comp = 0
         self._mutlog: deque[tuple[Any, ...]] = deque(maxlen=_MUTLOG_MAXLEN)
+        # Built by the first lowering() call, dropped by every mutator
+        # (see the module docstring).
+        self._lowering: Lowering | None = None
         if nodes is not None:
             for node in nodes:
                 self.add_node(node)
@@ -348,6 +421,19 @@ class UncertainGraph:
             return 0
         return max(len(nbrs) for nbrs in self._adj.values())
 
+    def lowering(self) -> Lowering:
+        """The graph interned to dense-id rows, built on first use.
+
+        :func:`repro.core.prune_kernel.compile_graph` is the one caller:
+        the first call after construction or a mutation pays the
+        ``O(m log d_max)`` interning pass, later calls return the same
+        rows.  Callers must not mutate the result.
+        """
+        lowering = self._lowering
+        if lowering is None:
+            lowering = self._lowering = Lowering.of(self._adj)
+        return lowering
+
     # ------------------------------------------------------------------
     # Mutators
     # ------------------------------------------------------------------
@@ -372,6 +458,7 @@ class UncertainGraph:
             self._adj[node] = {}
             self._version += 1
             self._fresh_component({node: None})
+            self._lowering = None
             self._log("add_node", node)
 
     def add_edge(self, u: Node, v: Node, p: float) -> None:
@@ -423,6 +510,7 @@ class UncertainGraph:
                     keep_nodes[node] = None
                     self._comp_id[node] = keep
                 self._comp_epoch[keep] = self._version
+        self._lowering = None
         self._log("add_edge", u, v, p, new_u, new_v)
 
     def set_probability(self, u: Node, v: Node, p: float) -> None:
@@ -436,6 +524,7 @@ class UncertainGraph:
         self._version += 1
         # Reweights never change connectivity: one epoch bump, no re-label.
         self._comp_epoch[self._comp_id[u]] = self._version
+        self._lowering = None
         self._log("set_probability", u, v, old_p, p)
 
     def _split_piece(
@@ -490,6 +579,7 @@ class UncertainGraph:
                 del members[node]
             self._comp_epoch[cid] = self._version
             self._fresh_component(piece)
+        self._lowering = None
         self._log("remove_edge", u, v, p)
         return p
 
@@ -503,6 +593,7 @@ class UncertainGraph:
             del self._adj[v][node]
         self._num_edges -= len(nbrs)
         self._version += 1
+        self._lowering = None
         cid = self._comp_id.pop(node)
         members = self._comp_nodes[cid]
         del members[node]
@@ -587,6 +678,8 @@ class UncertainGraph:
         source's current :attr:`version`; its component map is rebuilt
         (restriction can split a source component) with fresh ids, each
         piece inheriting the epoch of the source component it came from.
+        It starts without a lowering: most subgraphs (the cut's pieces)
+        are never compiled, so their first compile builds one.
         """
         keep = dict.fromkeys(nodes)
         for node in keep:

@@ -708,6 +708,62 @@ class TestComponentEpochDiscipline:
         )
         assert rules_of(lint_file(path), "RPL014") == []
 
+    def test_flags_mutator_skipping_the_lowering(
+        self, tmp_path: Path
+    ) -> None:
+        # Once the graph keeps a lowering, a mutator that updates the
+        # epoch but not the rows leaves the next compile copying stale
+        # rows.
+        path = write(
+            tmp_path,
+            "uncertain/graph.py",
+            """
+            class UncertainGraph:
+                __slots__ = ("_adj", "_lowering")
+
+                def set_probability(self, u, v, p):
+                    self._adj[u][v] = p
+                    self._adj[v][u] = p
+                    self._comp_epoch[self._comp_id[u]] = self._version
+            """,
+        )
+        findings = rules_of(lint_file(path), "RPL014")
+        assert len(findings) == 1
+        assert "lowering" in findings[0].message
+
+    def test_mutator_dropping_the_lowering_is_sanctioned(
+        self, tmp_path: Path
+    ) -> None:
+        path = write(
+            tmp_path,
+            "uncertain/graph.py",
+            """
+            class UncertainGraph:
+                __slots__ = ("_adj", "_lowering")
+
+                def set_probability(self, u, v, p):
+                    self._adj[u][v] = p
+                    self._adj[v][u] = p
+                    self._comp_epoch[self._comp_id[u]] = self._version
+                    self._lowering = None
+
+                def remove_node(self, node):
+                    for v in self._adj.pop(node):
+                        del self._adj[v][node]
+                    self._lowering = None
+                    del self._comp_id[node]
+
+                def induced_subgraph(self, nodes):
+                    # A fresh graph's lowering starts empty: writing its
+                    # _adj needs no lowering bookkeeping.
+                    sub = UncertainGraph()
+                    sub._adj = {u: dict(self._adj[u]) for u in nodes}
+                    sub._comp_id = {}
+                    return sub
+            """,
+        )
+        assert rules_of(lint_file(path), "RPL014") == []
+
     def test_reader_never_flagged(self, tmp_path: Path) -> None:
         path = write(
             tmp_path,

@@ -30,7 +30,7 @@ from repro import PreparedGraph, UncertainGraph
 from repro.core.kernel import CompiledComponent, derive_component_view
 from repro.core.prune_kernel import CompiledGraph, compile_graph
 from repro.deterministic.components import connected_components
-from repro.reference import compile_component
+from repro.reference import compile_component, lower_graph
 
 PROBABILITY_PALETTE = (0.25, 0.4, 0.4, 0.5, 0.7, 0.7, 0.9, 1.0)
 
@@ -108,7 +108,7 @@ def test_restrict_matches_compiling_the_induced_subgraph(
         u for u in graph.nodes() if data.draw(st.booleans(), label=str(u))
     ]
     restricted = compile_graph(graph).restrict(members)
-    fresh = compile_graph(graph.induced_subgraph(members))
+    fresh = lower_graph(graph.induced_subgraph(members))
     assert restricted.nodes == fresh.nodes
     assert restricted.version == fresh.version
     assert restricted.row_offsets == fresh.row_offsets

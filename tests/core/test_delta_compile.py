@@ -1,8 +1,10 @@
 """Delta-compile parity: a patched CompiledGraph equals a cold re-lower.
 
 :meth:`CompiledGraph.apply_delta` promises bit-identity — after replaying
-a mutation-log slice, the patched artifact must match
-:func:`compile_graph` on the mutated graph in node order, the
+a mutation-log slice, the patched artifact must match a from-scratch
+lowering of the mutated graph (:func:`repro.reference.lower_graph`, not
+:func:`compile_graph`, which copies rows the graph maintains itself and
+so would compare the maintained rows with themselves) in node order, the
 insertion-order CSR (ids *and* exact float sequences), the ascending
 rows, the lazily re-derived descending rows, and the deterministic core
 numbers.  These tests pin that promise per op, over randomized op
@@ -21,6 +23,7 @@ from repro.core.prune_kernel import (
     compile_graph,
     survival_peel,
 )
+from repro.reference import lower_graph
 
 relaxed = settings(
     max_examples=30,
@@ -68,44 +71,44 @@ class TestSingleOps:
         g = seed_graph()
         cpg = compile_graph(g)
         g.set_probability("b", "c", 0.15)
-        assert_bit_identical(patch_through(g, cpg), compile_graph(g))
+        assert_bit_identical(patch_through(g, cpg), lower_graph(g))
 
     def test_add_edge_between_existing_nodes(self):
         g = seed_graph()
         cpg = compile_graph(g)
         g.add_edge("d", "x", 0.4)
-        assert_bit_identical(patch_through(g, cpg), compile_graph(g))
+        assert_bit_identical(patch_through(g, cpg), lower_graph(g))
 
     def test_add_edge_with_new_endpoints(self):
         g = seed_graph()
         cpg = compile_graph(g)
         g.add_edge("new1", "new2", 0.35)
-        assert_bit_identical(patch_through(g, cpg), compile_graph(g))
+        assert_bit_identical(patch_through(g, cpg), lower_graph(g))
 
     def test_remove_edge(self):
         g = seed_graph()
         cpg = compile_graph(g)
         g.remove_edge("a", "c")
-        assert_bit_identical(patch_through(g, cpg), compile_graph(g))
+        assert_bit_identical(patch_through(g, cpg), lower_graph(g))
 
     def test_add_isolated_node(self):
         g = seed_graph()
         cpg = compile_graph(g)
         g.add_node("loner")
-        assert_bit_identical(patch_through(g, cpg), compile_graph(g))
+        assert_bit_identical(patch_through(g, cpg), lower_graph(g))
 
     def test_empty_slice_is_a_noop(self):
         g = seed_graph()
         cpg = compile_graph(g)
         assert cpg.apply_delta(()) is True
-        assert_bit_identical(cpg, compile_graph(g))
+        assert_bit_identical(cpg, lower_graph(g))
 
 
 class TestRefusal:
     def test_remove_node_refused_without_side_effects(self):
         g = seed_graph()
         cpg = compile_graph(g)
-        reference = compile_graph(g)
+        reference = lower_graph(g)
         g.set_probability("a", "b", 0.2)  # patchable...
         g.remove_node("c")  # ...but this poisons the whole slice
         ops = g.mutations_since(cpg.version)
@@ -126,7 +129,7 @@ class TestMemoInteraction:
         list(cpg.core_ids())
         g.set_probability("a", "b", 0.1)
         g.add_edge("d", "y", 0.55)
-        assert_bit_identical(patch_through(g, cpg), compile_graph(g))
+        assert_bit_identical(patch_through(g, cpg), lower_graph(g))
 
     def test_patched_artifact_peels_identically(self):
         g = seed_graph()
@@ -134,7 +137,7 @@ class TestMemoInteraction:
         g.set_probability("a", "c", 0.95)
         g.add_edge("b", "d", 0.85)
         patched = patch_through(g, cpg)
-        cold = compile_graph(g)
+        cold = lower_graph(g)
         for k, tau in [(1, 0.3), (2, 0.5), (2, 0.1)]:
             assert survival_peel(patched, k, tau) == survival_peel(
                 cold, k, tau
@@ -184,5 +187,5 @@ def test_randomized_streams_patch_bit_identically(case):
             continue
         applied += 1
     assert patch_through(graph, cpg) is cpg
-    assert_bit_identical(cpg, compile_graph(graph))
+    assert_bit_identical(cpg, lower_graph(graph))
     assert cpg.version == graph.version
